@@ -32,10 +32,11 @@ func ccdNodeSweepRows(st *state, yNormInv []float64, yColT *mat.Dense, rows []in
 }
 
 // ccdNodeRow moves one node row's coordinates to their per-coordinate
-// optima and patches its residual row (Eqs. 13, 16, 18).
+// optima and patches its residual row (Eqs. 13, 16, 18). The dots and
+// residual patches run on the mat kernels, whose canonical summation order
+// keeps the result bit-identical across instruction sets.
 func ccdNodeRow(st *state, yNormInv []float64, yColT *mat.Dense, v int) {
 	half := st.Xf.Cols
-	d := st.Sf.Cols
 	sfRow := st.Sf.Row(v)
 	sbRow := st.Sb.Row(v)
 	xfRow := st.Xf.Row(v)
@@ -45,19 +46,14 @@ func ccdNodeRow(st *state, yNormInv []float64, yColT *mat.Dense, v int) {
 			continue
 		}
 		ycol := yColT.Row(l) // Y[:,l] as a contiguous slice
-		var dotF, dotB float64
-		for j := 0; j < d; j++ {
-			dotF += sfRow[j] * ycol[j]
-			dotB += sbRow[j] * ycol[j]
-		}
-		muF := dotF * yNormInv[l]
-		muB := dotB * yNormInv[l]
+		// float64() rounds each step before it is subtracted: without it
+		// the compiler may fuse the product into the subtraction (arm64).
+		muF := float64(mat.Dot(sfRow, ycol) * yNormInv[l])
+		muB := float64(mat.Dot(sbRow, ycol) * yNormInv[l])
 		xfRow[l] -= muF
 		xbRow[l] -= muB
-		for j := 0; j < d; j++ {
-			sfRow[j] -= muF * ycol[j]
-			sbRow[j] -= muB * ycol[j]
-		}
+		mat.AxpyVec(-muF, ycol, sfRow)
+		mat.AxpyVec(-muB, ycol, sbRow)
 	}
 }
 
@@ -95,7 +91,6 @@ func ccdAttrSweepRows(st *state, xNormInv []float64, xfColT, xbColT, sfT, sbT *m
 // and patches its transposed residual rows (Eqs. 15, 17, 20).
 func ccdAttrRow(st *state, xNormInv []float64, xfColT, xbColT, sfT, sbT *mat.Dense, r int) {
 	half := st.Y.Cols
-	n := sfT.Cols
 	yRow := st.Y.Row(r)
 	sfRow := sfT.Row(r)
 	sbRow := sbT.Row(r)
@@ -105,17 +100,75 @@ func ccdAttrRow(st *state, xNormInv []float64, xfColT, xbColT, sfT, sbT *mat.Den
 		}
 		xfCol := xfColT.Row(l)
 		xbCol := xbColT.Row(l)
-		var num float64
-		for i := 0; i < n; i++ {
-			num += xfCol[i]*sfRow[i] + xbCol[i]*sbRow[i]
-		}
-		mu := num * xNormInv[l]
+		mu := float64((mat.Dot(xfCol, sfRow) + mat.Dot(xbCol, sbRow)) * xNormInv[l]) // rounded as in ccdNodeRow
 		yRow[l] -= mu
-		for i := 0; i < n; i++ {
-			sfRow[i] -= mu * xfCol[i]
-			sbRow[i] -= mu * xbCol[i]
-		}
+		mat.AxpyVec(-mu, xfCol, sfRow)
+		mat.AxpyVec(-mu, xbCol, sbRow)
 	}
+}
+
+// sweepBufs holds what one CCD sweep caches: Y's columns and inverse
+// squared norms for the node phase; Xf's and Xb's columns, their combined
+// inverse squared norms, and the transposed residuals for the attribute
+// phase. A refinement allocates it once and refills it every sweep — at
+// n = 50k the transposed residuals alone are 80 MB per sweep otherwise.
+type sweepBufs struct {
+	yColT, xfColT, xbColT, sfT, sbT *mat.Dense
+	yNormInv, xNormInv              []float64
+}
+
+func newSweepBufs(st *state) *sweepBufs {
+	n, d, half := st.Xf.Rows, st.Y.Rows, st.Xf.Cols
+	return &sweepBufs{
+		yColT:    mat.New(half, d),
+		xfColT:   mat.New(half, n),
+		xbColT:   mat.New(half, n),
+		sfT:      mat.New(d, n),
+		sbT:      mat.New(d, n),
+		yNormInv: make([]float64, half),
+		xNormInv: make([]float64, half),
+	}
+}
+
+// nodePhase readies the node phase (Y fixed): Y's columns, contiguous,
+// and their inverse squared norms.
+func (b *sweepBufs) nodePhase(st *state) {
+	st.Y.TInto(b.yColT)
+	for l := range b.yNormInv {
+		b.yNormInv[l] = invPositive(mat.Dot(b.yColT.Row(l), b.yColT.Row(l)))
+	}
+}
+
+// attrPhase readies the attribute phase (Xf, Xb fixed): their columns,
+// the combined inverse squared norms, and the residuals transposed so
+// each attribute's column is contiguous (see ccdAttrSweep). Two
+// cache-blocked transposes per sweep are O(n·d) streamed memory —
+// negligible next to the O(n·d·k) updates they make cache-friendly.
+func (b *sweepBufs) attrPhase(st *state) {
+	st.Xf.TInto(b.xfColT)
+	st.Xb.TInto(b.xbColT)
+	for l := range b.xNormInv {
+		b.xNormInv[l] = invPositive(mat.Dot(b.xfColT.Row(l), b.xfColT.Row(l)) + mat.Dot(b.xbColT.Row(l), b.xbColT.Row(l)))
+	}
+	st.Sf.TInto(b.sfT)
+	st.Sb.TInto(b.sbT)
+}
+
+// endAttrPhase transposes the swept residuals back into the solver state
+// for the next node phase.
+func (b *sweepBufs) endAttrPhase(st *state) {
+	b.sfT.TInto(st.Sf)
+	b.sbT.TInto(st.Sb)
+}
+
+// invPositive returns 1/s for s > 0 and 0 otherwise: a zero column has no
+// least-squares step, and the sweeps skip coordinates whose cached inverse
+// norm is 0.
+func invPositive(s float64) float64 {
+	if s > 0 {
+		return 1 / s
+	}
+	return 0
 }
 
 // refine runs iters full CCD sweeps (Algorithm 4 Lines 2-14 serially,
@@ -126,50 +179,17 @@ func ccdAttrRow(st *state, xNormInv []float64, xfColT, xbColT, sfT, sbT *mat.Den
 func refine(st *state, iters, nb int) {
 	n := st.Xf.Rows
 	d := st.Y.Rows
-	half := st.Xf.Cols
+	bufs := newSweepBufs(st)
 	for it := 0; it < iters; it++ {
-		// Node phase: Y fixed. Cache Y's columns contiguously and their
-		// inverse squared norms.
-		yColT := st.Y.T()
-		yNormInv := make([]float64, half)
-		for l := 0; l < half; l++ {
-			s := mat.Dot(yColT.Row(l), yColT.Row(l))
-			if s > 0 {
-				yNormInv[l] = 1 / s
-			}
-		}
-		if nb <= 1 {
-			ccdNodeSweep(st, yNormInv, yColT, 0, n)
-		} else {
-			mat.ParallelRanges(n, nb, func(lo, hi int) {
-				ccdNodeSweep(st, yNormInv, yColT, lo, hi)
-			})
-		}
-		// Attribute phase: Xf, Xb fixed. The residuals are transposed so
-		// each attribute's column is contiguous (see ccdAttrSweep), then
-		// transposed back for the next node phase. Two cache-blocked
-		// transposes per sweep are O(n·d) streamed memory — negligible
-		// next to the O(n·d·k) updates they make cache-friendly.
-		xfColT := st.Xf.T()
-		xbColT := st.Xb.T()
-		xNormInv := make([]float64, half)
-		for l := 0; l < half; l++ {
-			s := mat.Dot(xfColT.Row(l), xfColT.Row(l)) + mat.Dot(xbColT.Row(l), xbColT.Row(l))
-			if s > 0 {
-				xNormInv[l] = 1 / s
-			}
-		}
-		sfT := st.Sf.T()
-		sbT := st.Sb.T()
-		if nb <= 1 {
-			ccdAttrSweep(st, xNormInv, xfColT, xbColT, sfT, sbT, 0, d)
-		} else {
-			mat.ParallelRanges(d, nb, func(lo, hi int) {
-				ccdAttrSweep(st, xNormInv, xfColT, xbColT, sfT, sbT, lo, hi)
-			})
-		}
-		st.Sf = sfT.T()
-		st.Sb = sbT.T()
+		bufs.nodePhase(st)
+		mat.ParallelRanges(n, nb, func(lo, hi int) {
+			ccdNodeSweep(st, bufs.yNormInv, bufs.yColT, lo, hi)
+		})
+		bufs.attrPhase(st)
+		mat.ParallelRanges(d, nb, func(lo, hi int) {
+			ccdAttrSweep(st, bufs.xNormInv, bufs.xfColT, bufs.xbColT, bufs.sfT, bufs.sbT, lo, hi)
+		})
+		bufs.endAttrPhase(st)
 	}
 }
 

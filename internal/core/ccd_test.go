@@ -106,16 +106,28 @@ func TestParallelCCDMatchesSerial(t *testing.T) {
 	for _, nb := range []int{2, 4, 8} {
 		par := mkState()
 		refine(par, 3, nb)
-		if d := par.Xf.MaxAbsDiff(serial.Xf); d > 1e-12 {
-			t.Fatalf("nb=%d: Xf deviates by %v", nb, d)
-		}
-		if d := par.Y.MaxAbsDiff(serial.Y); d > 1e-12 {
-			t.Fatalf("nb=%d: Y deviates by %v", nb, d)
-		}
-		if d := par.Xb.MaxAbsDiff(serial.Xb); d > 1e-12 {
-			t.Fatalf("nb=%d: Xb deviates by %v", nb, d)
+		for _, m := range []struct {
+			name      string
+			got, want *mat.Dense
+		}{{"Xf", par.Xf, serial.Xf}, {"Xb", par.Xb, serial.Xb}, {"Y", par.Y, serial.Y}} {
+			if !sameBits(m.got, m.want) {
+				t.Fatalf("nb=%d: %s is not bit-identical to the serial sweeps (max deviation %v)", nb, m.name, m.got.MaxAbsDiff(m.want))
+			}
 		}
 	}
+}
+
+// sameBits reports whether a and b hold bit-identical elements.
+func sameBits(a, b *mat.Dense) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for i, v := range a.Data {
+		if math.Float64bits(v) != math.Float64bits(b.Data[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestGreedyInitBeatsRandomInit(t *testing.T) {
@@ -229,5 +241,17 @@ func TestObjectiveZeroForPerfectFactorization(t *testing.T) {
 	e := &Embedding{Xf: xf, Xb: xf, Y: y}
 	if o := Objective(e, f, f); o > 1e-18 {
 		t.Fatalf("objective %v for perfect factorization", o)
+	}
+}
+
+// BenchmarkRefineSweep times one full CCD sweep (node phase, attribute
+// phase, the transposes between them) at n = 10,000, d = 100, k = 128 on
+// two workers.
+func BenchmarkRefineSweep(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	f, bb := affinityPair(rng, 10000, 100, 8)
+	st := RandomInit(f, bb, 128, rng, 2)
+	for b.Loop() {
+		refine(st, 1, 2)
 	}
 }

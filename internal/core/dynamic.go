@@ -134,35 +134,17 @@ func RefineRowsFrom(prev *Embedding, f, b *mat.Dense, cfg Config, sweeps, nb int
 // phase only the listed attribute rows. The phase structure (and all
 // per-row arithmetic) matches refine exactly.
 func refineRows(st *state, sweeps, nb int, nodes, attrs []int) {
-	half := st.Xf.Cols
+	bufs := newSweepBufs(st)
 	for it := 0; it < sweeps; it++ {
-		yColT := st.Y.T()
-		yNormInv := make([]float64, half)
-		for l := 0; l < half; l++ {
-			s := mat.Dot(yColT.Row(l), yColT.Row(l))
-			if s > 0 {
-				yNormInv[l] = 1 / s
-			}
-		}
+		bufs.nodePhase(st)
 		mat.ParallelRanges(len(nodes), nb, func(lo, hi int) {
-			ccdNodeSweepRows(st, yNormInv, yColT, nodes[lo:hi])
+			ccdNodeSweepRows(st, bufs.yNormInv, bufs.yColT, nodes[lo:hi])
 		})
-		xfColT := st.Xf.T()
-		xbColT := st.Xb.T()
-		xNormInv := make([]float64, half)
-		for l := 0; l < half; l++ {
-			s := mat.Dot(xfColT.Row(l), xfColT.Row(l)) + mat.Dot(xbColT.Row(l), xbColT.Row(l))
-			if s > 0 {
-				xNormInv[l] = 1 / s
-			}
-		}
-		sfT := st.Sf.T()
-		sbT := st.Sb.T()
+		bufs.attrPhase(st)
 		mat.ParallelRanges(len(attrs), nb, func(lo, hi int) {
-			ccdAttrSweepRows(st, xNormInv, xfColT, xbColT, sfT, sbT, attrs[lo:hi])
+			ccdAttrSweepRows(st, bufs.xNormInv, bufs.xfColT, bufs.xbColT, bufs.sfT, bufs.sbT, attrs[lo:hi])
 		})
-		st.Sf = sfT.T()
-		st.Sb = sbT.T()
+		bufs.endAttrPhase(st)
 	}
 }
 
@@ -209,11 +191,8 @@ func refineNodeRowsGatheredTargets(prev *Embedding, fRows, bRows *mat.Dense, swe
 	// and norms are loop-invariant.
 	yColT := prev.Y.T()
 	yNormInv := make([]float64, half)
-	for l := 0; l < half; l++ {
-		s := mat.Dot(yColT.Row(l), yColT.Row(l))
-		if s > 0 {
-			yNormInv[l] = 1 / s
-		}
+	for l := range yNormInv {
+		yNormInv[l] = invPositive(mat.Dot(yColT.Row(l), yColT.Row(l)))
 	}
 	for it := 0; it < sweeps; it++ {
 		mat.ParallelRanges(nd, nb, func(lo, hi int) {

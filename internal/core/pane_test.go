@@ -1,11 +1,14 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
 
+	"pane/internal/datagen"
 	"pane/internal/graph"
 	"pane/internal/mat"
 )
@@ -267,5 +270,38 @@ func TestPANERandomInitWorseEarly(t *testing.T) {
 	}
 	if Objective(greedy, f, b) >= Objective(random, f, b) {
 		t.Fatal("greedy init not better than random at 1 CCD sweep")
+	}
+}
+
+// parallelPANEGolden is the checksum of TestParallelPANEGolden's
+// embedding. Every kernel on the training path sums in the one canonical
+// order, with no fused multiply-add, so the value is the same with the
+// AVX2 kernels and under -tags noasm.
+const parallelPANEGolden = 0x3b897dec0d5276d1
+
+// TestParallelPANEGolden pins ParallelPANE's output bit for bit on a
+// fixed generated graph at the paper defaults (α = 0.5, ε = 0.015, so
+// t = 6) on two workers: FNV-1a over the bits of Xf, Xb and Y.
+func TestParallelPANEGolden(t *testing.T) {
+	g, err := datagen.Generate(datagen.Config{
+		Name: "golden", N: 3000, AvgOutDeg: 8, D: 100, AttrsPer: 6, Communities: 20, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := ParallelPANE(g, Config{K: 32, Alpha: 0.5, Eps: 0.015, Threads: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, m := range []*mat.Dense{e.Xf, e.Xb, e.Y} {
+		for _, v := range m.Data {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+	}
+	if got := h.Sum64(); got != parallelPANEGolden {
+		t.Fatalf("ParallelPANE checksum %#016x, want %#016x", got, uint64(parallelPANEGolden))
 	}
 }

@@ -163,11 +163,14 @@ func TestChaosLeaderKillPromotion(t *testing.T) {
 	waitVersion(t, r0.Engine(), leader.Version(), "follower 0")
 	waitVersion(t, r1.Engine(), leader.Version(), "follower 1")
 
-	// The leader applies two more updates nobody replicates (v8, v9 on
-	// epoch 0), then dies mid-deployment.
+	// The leader's listener dies first, so no follower can pull what
+	// comes next; the leader then applies two updates nobody replicates
+	// (v8, v9 on epoch 0). Closing after the updates would race the
+	// followers' 1 ms polls for v8 (TestChaosPromotionWithPartialTail
+	// covers a follower holding part of the tail on purpose).
+	ts.Close()
 	chaosUpdate(t, leader, 7)
 	chaosUpdate(t, leader, 8)
-	ts.Close()
 
 	// The orphaned followers degrade: rounds fail, staleness flips on,
 	// reads keep serving.
@@ -275,6 +278,126 @@ func TestChaosLeaderKillPromotion(t *testing.T) {
 	forged.Version = 11 // version extends; epoch is from the dead lineage
 	if _, err := r2.Engine().ApplyRecord(forged); !errors.Is(err, engine.ErrFenced) {
 		t.Fatalf("epoch-0 record on an epoch-1 engine: err = %v, want ErrFenced", err)
+	}
+}
+
+// TestChaosPromotionWithPartialTail is the failover in which the
+// promoted follower holds part of the dead leader's unreplicated tail:
+// r0 has epoch-0 v8, r1 stops at v7, and the dead leader alone has v9.
+// r0 promotes at v8; its writes become v9 and v10 on epoch 1. The
+// survivor cannot replay v8 from the promoted log (it starts at v9), so
+// it crosses the epoch boundary through the bundle fallback and must
+// still converge bit-identically, and both fences must hold.
+func TestChaosPromotionWithPartialTail(t *testing.T) {
+	leader := trainChaosLeader(t)
+	leaderLog, err := wal.Open(t.TempDir(), wal.Options{Sync: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leaderLog.Close()
+	if err := leader.AttachWAL(leaderLog); err != nil {
+		t.Fatal(err)
+	}
+	// One listener per follower, so each can be cut off on its own.
+	ts0 := httptest.NewServer(server.New(leader))
+	ts1 := httptest.NewServer(server.New(leader))
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	r0, err := replica.Bootstrap(ctx, flakyFollowerOpts(ts0.URL), chaosEngineOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1, err := replica.Bootstrap(ctx, flakyFollowerOpts(ts1.URL), chaosEngineOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go r0.Run(ctx)
+	go r1.Run(ctx)
+	for i := 1; i <= 6; i++ {
+		chaosUpdate(t, leader, i)
+	}
+	waitVersion(t, r0.Engine(), leader.Version(), "follower 0")
+	waitVersion(t, r1.Engine(), leader.Version(), "follower 1")
+
+	// r1 is cut off at v7; only r0 receives v8; then the leader's last
+	// listener dies and it applies v9, which nobody receives.
+	ts1.Close()
+	chaosUpdate(t, leader, 7)
+	waitVersion(t, r0.Engine(), 8, "follower 0")
+	ts0.Close()
+	chaosUpdate(t, leader, 8)
+	if got := r1.Engine().Version(); got != 7 {
+		t.Fatalf("cut-off follower at v%d, want 7", got)
+	}
+
+	plog, err := wal.Open(t.TempDir(), wal.Options{Sync: wal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plog.Close()
+	epoch, err := r0.Promote(plog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if epoch != 1 {
+		t.Fatalf("promotion epoch = %d, want 1", epoch)
+	}
+	if got := r0.Engine().Version(); got != 8 {
+		t.Fatalf("promoted at v%d, want 8 (the partial tail)", got)
+	}
+	chaosUpdate(t, r0.Engine(), 107)
+	chaosUpdate(t, r0.Engine(), 108)
+	if got := r0.Engine().Version(); got != 10 {
+		t.Fatalf("promoted leader at v%d, want 10", got)
+	}
+	newRecs, err := plog.ReadFrom(8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(newRecs) != 2 || newRecs[0].Version != 9 || newRecs[0].Epoch != 1 || newRecs[1].Epoch != 1 {
+		t.Fatalf("promoted log = %+v, want v9 and v10 on epoch 1", newRecs)
+	}
+
+	// The survivor re-points and resyncs across the epoch boundary. One
+	// more promoted write then reaches it as a record, which is how an
+	// engine restored from a bundle adopts the new epoch.
+	ts2 := httptest.NewServer(server.New(r0.Engine()))
+	defer ts2.Close()
+	fetches := r1.Status().BundleFetches
+	r1.SetLeader(ts2.URL)
+	waitVersion(t, r1.Engine(), r0.Engine().Version(), "survivor")
+	chaosUpdate(t, r0.Engine(), 109) // v11 on epoch 1
+	waitVersion(t, r1.Engine(), 11, "survivor")
+	// Checked only now: the fetch counter moves just after the bundle is
+	// swapped in, but before the sync round that applies v11.
+	if r1.Status().BundleFetches == fetches {
+		t.Fatal("survivor reached the promoted lineage without the bundle fallback")
+	}
+	if r1.Engine().Epoch() != 1 {
+		t.Fatalf("survivor epoch = %d, want 1", r1.Engine().Epoch())
+	}
+	cancel()
+	assertConverged(t, r0.Engine(), r1.Engine())
+
+	// Fencing: the deposed leader's appends fail, and the dead lineage's
+	// v9 (epoch 0) is refused even with a version that would extend the
+	// survivor's stream.
+	leader.Fence(epoch)
+	if _, err := leader.ApplyEdges([]graph.Edge{{Src: 0, Dst: 1}}); !errors.Is(err, engine.ErrFenced) {
+		t.Fatalf("deposed leader append: err = %v, want ErrFenced", err)
+	}
+	oldRecs, err := leaderLog.ReadFrom(8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(oldRecs) != 1 || oldRecs[0].Version != 9 || oldRecs[0].Epoch != 0 {
+		t.Fatalf("dead leader's tail = %+v, want v9 on epoch 0", oldRecs)
+	}
+	forged := oldRecs[0]
+	forged.Version = 12
+	if _, err := r1.Engine().ApplyRecord(forged); !errors.Is(err, engine.ErrFenced) {
+		t.Fatalf("epoch-0 record on an epoch-1 survivor: err = %v, want ErrFenced", err)
 	}
 }
 

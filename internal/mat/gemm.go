@@ -195,10 +195,7 @@ func MulAT(a, b *Dense) *Dense {
 			if av == 0 {
 				continue
 			}
-			op := out.Data[p*n : (p+1)*n]
-			for j, bv := range bi {
-				op[j] += av * bv
-			}
+			axpyTo(out.Data[p*n:(p+1)*n], av, bi)
 		}
 	}
 	return out

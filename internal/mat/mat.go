@@ -93,6 +93,17 @@ func (m *Dense) Zero() {
 // T returns a newly allocated transpose of m.
 func (m *Dense) T() *Dense {
 	out := New(m.Cols, m.Rows)
+	m.TInto(out)
+	return out
+}
+
+// TInto writes the transpose of m into dst, which must be m.Cols x
+// m.Rows. Solvers that transpose the same shapes every sweep call it on
+// buffers they allocate once.
+func (m *Dense) TInto(dst *Dense) {
+	if dst.Rows != m.Cols || dst.Cols != m.Rows {
+		panic(fmt.Sprintf("mat: TInto dst is %dx%d, want %dx%d", dst.Rows, dst.Cols, m.Cols, m.Rows))
+	}
 	// Block the transpose for cache friendliness on large matrices.
 	const bs = 64
 	for ib := 0; ib < m.Rows; ib += bs {
@@ -102,12 +113,11 @@ func (m *Dense) T() *Dense {
 			for i := ib; i < iMax; i++ {
 				ri := m.Data[i*m.Cols:]
 				for j := jb; j < jMax; j++ {
-					out.Data[j*out.Cols+i] = ri[j]
+					dst.Data[j*dst.Cols+i] = ri[j]
 				}
 			}
 		}
 	}
-	return out
 }
 
 // Col copies column j of m into dst (which must have length m.Rows) and

@@ -14,27 +14,29 @@ import (
 // QR computes a thin QR factorization of a (r x c, r >= c) using
 // Householder reflections: a = q·r with q having orthonormal columns
 // (r x c) and rr upper triangular (c x c).
+//
+// The factorization runs on aᵀ, so every column of a — and every
+// Householder vector and every column of q — is one contiguous row, and
+// each reflector dot and update is a single mat.Dot / mat.AxpyVec call.
+// Those kernels follow the repository's canonical summation order, so q
+// and rr are bit-identical across instruction sets and build tags.
 func QR(a *mat.Dense) (q, rr *mat.Dense) {
 	m, n := a.Rows, a.Cols
 	if m < n {
 		panic("svd: QR requires rows >= cols")
 	}
-	// Work on a copy; w holds the Householder vectors in its lower part.
-	w := a.Clone()
+	// Row k of wt is column k of a; below the diagonal (entries k+1..m-1)
+	// it ends up holding the k-th Householder vector, whose entry k is an
+	// implicit 1.
+	wt := a.T()
 	betas := make([]float64, n)
 	for k := 0; k < n; k++ {
-		// Compute the Householder reflector for column k below the diagonal.
-		var norm float64
-		for i := k; i < m; i++ {
-			v := w.At(i, k)
-			norm += v * v
-		}
-		norm = math.Sqrt(norm)
+		wk := wt.Row(k)
+		norm := math.Sqrt(mat.Dot(wk[k:], wk[k:]))
 		if norm == 0 {
-			betas[k] = 0
-			continue
+			continue // betas[k] = 0: the reflector is the identity
 		}
-		alpha := w.At(k, k)
+		alpha := wk[k]
 		sign := 1.0
 		if alpha < 0 {
 			sign = -1.0
@@ -43,53 +45,48 @@ func QR(a *mat.Dense) (q, rr *mat.Dense) {
 		// Normalize so v[k] = 1 implicitly; beta = v0 / (sign*norm) form.
 		betas[k] = v0 / (sign * norm)
 		inv := 1 / v0
-		for i := k + 1; i < m; i++ {
-			w.Set(i, k, w.At(i, k)*inv)
+		vk := wk[k+1:]
+		for i := range vk {
+			vk[i] *= inv
 		}
-		w.Set(k, k, -sign*norm) // R diagonal entry
+		wk[k] = -sign * norm // R diagonal entry
 		// Apply the reflector to the remaining columns.
 		for j := k + 1; j < n; j++ {
-			var s float64
-			s = w.At(k, j)
-			for i := k + 1; i < m; i++ {
-				s += w.At(i, k) * w.At(i, j)
-			}
-			s *= betas[k]
-			w.Set(k, j, w.At(k, j)-s)
-			for i := k + 1; i < m; i++ {
-				w.Set(i, j, w.At(i, j)-s*w.At(i, k))
-			}
+			wj := wt.Row(j)
+			// float64() rounds s before wj[k] -= s: without it the
+			// compiler may fuse the product into the subtraction (arm64).
+			s := float64((wj[k] + mat.Dot(vk, wj[k+1:])) * betas[k])
+			wj[k] -= s
+			mat.AxpyVec(-s, vk, wj[k+1:])
 		}
 	}
-	// Extract R.
 	rr = mat.New(n, n)
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
-			rr.Set(i, j, w.At(i, j))
+			rr.Set(i, j, wt.At(j, i))
 		}
 	}
-	// Accumulate Q by applying the reflectors to the identity, in reverse.
-	q = mat.New(m, n)
+	// Accumulate Q by applying the reflectors to the identity, in reverse;
+	// row j of qt is column j of q. Reflector k only touches entries k..m-1,
+	// and columns j < k are still e_j there, zero from row k down, so the
+	// reflector leaves them unchanged and they are skipped.
+	qt := mat.New(n, m)
 	for j := 0; j < n; j++ {
-		q.Set(j, j, 1)
+		qt.Set(j, j, 1)
 	}
 	for k := n - 1; k >= 0; k-- {
 		if betas[k] == 0 {
 			continue
 		}
-		for j := 0; j < n; j++ {
-			s := q.At(k, j)
-			for i := k + 1; i < m; i++ {
-				s += w.At(i, k) * q.At(i, j)
-			}
-			s *= betas[k]
-			q.Set(k, j, q.At(k, j)-s)
-			for i := k + 1; i < m; i++ {
-				q.Set(i, j, q.At(i, j)-s*w.At(i, k))
-			}
+		vk := wt.Row(k)[k+1:]
+		for j := k; j < n; j++ {
+			qj := qt.Row(j)
+			s := float64((qj[k] + mat.Dot(vk, qj[k+1:])) * betas[k])
+			qj[k] -= s
+			mat.AxpyVec(-s, vk, qj[k+1:])
 		}
 	}
-	return q, rr
+	return qt.T(), rr
 }
 
 // Orthonormalize returns a matrix with orthonormal columns spanning the

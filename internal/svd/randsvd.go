@@ -23,8 +23,10 @@ const Oversample = 8
 //  3. B ← Qᵀ·a  ((k+p) x c, small); exact Jacobi SVD of B
 //  4. U ← Q·U_B, truncate to rank k.
 //
-// nb parallelizes the dense products over row blocks; results for a given
-// seed are identical regardless of nb (each output row has one writer).
+// nb parallelizes the dense products over row blocks. Results for a given
+// seed are bit-identical regardless of nb: every output row of a·X has one
+// writer, and aᵀ·X sums fixed-size row chunks in chunk order (see
+// parMulATInto).
 func RandSVD(a *mat.Dense, k, q int, rng *rand.Rand, nb int) Result {
 	r, c := a.Rows, a.Cols
 	p := k + Oversample
@@ -43,58 +45,53 @@ func RandSVD(a *mat.Dense, k, q int, rng *rand.Rand, nb int) Result {
 		omega.Data[i] = rng.NormFloat64()
 	}
 	y := mat.New(r, p)
-	parMulInto(y, a, omega, nb)
+	mat.ParMulInto(y, a, omega, nb)
 	qm := Orthonormalize(y)
 	// Power iterations sharpen the subspace toward the top singular vectors.
 	z := mat.New(c, p)
 	for it := 0; it < q; it++ {
 		parMulATInto(z, a, qm, nb)
-		parMulInto(y, a, z, nb)
+		mat.ParMulInto(y, a, z, nb)
 		qm = Orthonormalize(y)
 	}
 	// Project and decompose the small matrix exactly.
 	b := mat.New(p, c)
-	parMulATIntoT(b, qm, a, nb) // b = qmᵀ · a
+	parMulATInto(b, qm, a, nb) // b = qmᵀ · a
 	small := Jacobi(b)
 	u := mat.ParMul(qm, small.U, nb)
 	return Result{U: u, S: small.S, V: small.V}.Truncate(k)
 }
 
-// parMulInto computes dst = a*b with nb workers.
-func parMulInto(dst, a, b *mat.Dense, nb int) {
-	mat.ParMulInto(dst, a, b, nb)
-}
+// atChunkRows is the row-chunk height of parMulATInto. It is a constant,
+// not a function of nb, so the chunk partials — and the order they are
+// summed in — are the same for every worker count.
+const atChunkRows = 2048
 
-// parMulATInto computes dst = aᵀ*b (c x p) with nb workers over columns of
-// a. Implemented as a row-parallel pass over a with per-worker partial
-// accumulators merged at the end, to keep single-writer semantics.
+// parMulATInto computes dst = aᵀ*b (a is r x c, b is r x p, dst c x p).
+// The rows are cut into atChunkRows-high chunks, each chunk's partial
+// aᵀ*b is computed on its own, nb chunks at a time in parallel, and the
+// partials are added into dst in chunk order. The serial path runs the
+// same chunks and the same additions, so the result is bit-identical for
+// every nb.
 func parMulATInto(dst, a, b *mat.Dense, nb int) {
-	if dst.Rows != a.Cols || dst.Cols != b.Cols {
+	if dst.Rows != a.Cols || dst.Cols != b.Cols || a.Rows != b.Rows {
 		panic("svd: parMulATInto shape mismatch")
 	}
-	if nb <= 1 {
-		tmp := mat.MulAT(a, b)
-		dst.CopyFrom(tmp)
-		return
-	}
-	ranges := mat.SplitRanges(a.Rows, nb)
-	parts := make([]*mat.Dense, len(ranges))
-	mat.ParallelRanges(len(ranges), len(ranges), func(lo, hi int) {
-		for w := lo; w < hi; w++ {
-			rg := ranges[w]
-			av := a.RowView(rg[0], rg[1])
-			bv := b.RowView(rg[0], rg[1])
-			parts[w] = mat.MulAT(av, bv)
-		}
-	})
+	nb = max(nb, 1)
+	chunks := (a.Rows + atChunkRows - 1) / atChunkRows
+	parts := make([]*mat.Dense, nb)
 	dst.Zero()
-	for _, p := range parts {
-		dst.AddScaled(1, p)
+	for first := 0; first < chunks; first += nb {
+		round := min(nb, chunks-first)
+		mat.ParallelRanges(round, round, func(lo, hi int) {
+			for w := lo; w < hi; w++ {
+				r0 := (first + w) * atChunkRows
+				r1 := min(r0+atChunkRows, a.Rows)
+				parts[w] = mat.MulAT(a.RowView(r0, r1), b.RowView(r0, r1))
+			}
+		})
+		for _, p := range parts[:round] {
+			dst.AddScaled(1, p)
+		}
 	}
-}
-
-// parMulATIntoT computes dst = aᵀ*b where a is r x p and b is r x c, with
-// the same partial-sum strategy.
-func parMulATIntoT(dst, a, b *mat.Dense, nb int) {
-	parMulATInto(dst, a, b, nb)
 }

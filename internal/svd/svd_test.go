@@ -183,18 +183,29 @@ func errNorm(a, b *mat.Dense) float64 {
 }
 
 func TestRandSVDParallelMatchesSerial(t *testing.T) {
+	// Tall enough for parMulATInto to sum several row chunks, so the
+	// chunk order — not the worker count — fixes the summation order.
 	base := rand.New(rand.NewSource(9))
-	a := randomDense(base, 50, 30)
+	a := randomDense(base, 2*atChunkRows+50, 30)
 	r1 := RandSVD(a, 6, 2, rand.New(rand.NewSource(42)), 1)
-	r2 := RandSVD(a, 6, 2, rand.New(rand.NewSource(42)), 4)
-	if r1.U.MaxAbsDiff(r2.U) > 1e-9 || r1.V.MaxAbsDiff(r2.V) > 1e-9 {
-		t.Fatal("parallel RandSVD differs from serial for same seed")
-	}
-	for i := range r1.S {
-		if math.Abs(r1.S[i]-r2.S[i]) > 1e-9 {
-			t.Fatal("singular values differ between serial and parallel")
+	for _, nb := range []int{2, 3, 4} {
+		r2 := RandSVD(a, 6, 2, rand.New(rand.NewSource(42)), nb)
+		if !sameBits(r1.U.Data, r2.U.Data) || !sameBits(r1.V.Data, r2.V.Data) || !sameBits(r1.S, r2.S) {
+			t.Fatalf("nb=%d: parallel RandSVD is not bit-identical to serial for the same seed", nb)
 		}
 	}
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestRandSVDUnitaryV(t *testing.T) {
@@ -237,5 +248,75 @@ func TestOrthonormalize(t *testing.T) {
 	q := Orthonormalize(a)
 	if !isOrthonormalCols(q, 1e-10) {
 		t.Fatal("Orthonormalize output not orthonormal")
+	}
+}
+
+// TestQRHouseholderContract holds QR to its contract on the shapes the
+// solver feeds it: QᵀQ = I to 1e-12, Q·R = A to 1e-12 relative to A's
+// largest entry, and R exactly zero below the diagonal.
+func TestQRHouseholderContract(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	// The power-iteration shape: A·Aᵀ·Q for an A whose singular values
+	// span 1e-8…1, so the columns are nearly dependent.
+	illConditioned := func() *mat.Dense {
+		const m, n = 400, 24
+		u := Orthonormalize(randomDense(rng, m, n))
+		for j := 0; j < n; j++ {
+			s := math.Pow(1e-8, float64(j)/float64(n-1))
+			for i := 0; i < m; i++ {
+				u.Set(i, j, u.At(i, j)*s)
+			}
+		}
+		a := mat.MulBT(u, Orthonormalize(randomDense(rng, n, n)))
+		q := Orthonormalize(randomDense(rng, m, n))
+		return mat.Mul(a, mat.MulAT(a, q))
+	}
+	zeroColumn := func() *mat.Dense {
+		a := randomDense(rng, 60, 9)
+		for i := 0; i < a.Rows; i++ {
+			a.Set(i, 4, 0)
+		}
+		return a
+	}
+	cases := []struct {
+		name string
+		a    *mat.Dense
+	}{
+		{"tall", randomDense(rng, 3000, 40)},
+		{"ill-conditioned", illConditioned()},
+		{"rank-deficient", lowRank(rng, 200, 20, 5)},
+		{"zero column", zeroColumn()},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			q, r := QR(tc.a)
+			if !isOrthonormalCols(q, 1e-12) {
+				t.Error("QᵀQ deviates from I by more than 1e-12")
+			}
+			scale := 0.0
+			for _, v := range tc.a.Data {
+				scale = math.Max(scale, math.Abs(v))
+			}
+			if d := mat.Mul(q, r).MaxAbsDiff(tc.a); d > 1e-12*scale {
+				t.Errorf("‖QR − A‖max = %g, largest |A| entry %g", d, scale)
+			}
+			for i := 1; i < r.Rows; i++ {
+				for j := 0; j < i; j++ {
+					if r.At(i, j) != 0 {
+						t.Fatalf("R[%d,%d] = %g below the diagonal", i, j, r.At(i, j))
+					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkQRTall factorizes one SMGreedyInit block at the paper-default
+// size: 25,000 rows (n = 50k over two blocks) by k/2 + oversample = 72
+// columns.
+func BenchmarkQRTall(b *testing.B) {
+	a := randomDense(rand.New(rand.NewSource(1)), 25000, 72)
+	for b.Loop() {
+		QR(a)
 	}
 }

@@ -38,6 +38,18 @@ func TestEpochFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// epochlessGoldenFrame is the epoch-less frame of {Version: 3, Edges: [(1,2)]}
+// byte for byte, with the CRC word left zero.
+var epochlessGoldenFrame = []byte{
+	0x18, 0x00, 0x00, 0x00, // payload length = 24
+	0x00, 0x00, 0x00, 0x00, // crc placeholder
+	0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // version 3
+	0x01, 0x00, 0x00, 0x00, // 1 edge, no flag
+	0x00, 0x00, 0x00, 0x00, // 0 attrs
+	0x01, 0x00, 0x00, 0x00, // src 1
+	0x02, 0x00, 0x00, 0x00, // dst 2
+}
+
 // TestEpochZeroFrameMatchesPR8Format: an epoch-0 record must encode
 // without the flag or the epoch word — byte-identical to the epoch-less
 // PR 8 frame — so old logs stay readable and unfailed deployments write
@@ -51,15 +63,7 @@ func TestEpochZeroFrameMatchesPR8Format(t *testing.T) {
 	if n := binary.LittleEndian.Uint32(frame[8+8:]); n&epochFlag != 0 {
 		t.Fatalf("epoch-0 frame sets the epoch flag: count word %#x", n)
 	}
-	golden := []byte{
-		0x18, 0x00, 0x00, 0x00, // payload length = 24
-		0x00, 0x00, 0x00, 0x00, // crc placeholder, checked below
-		0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // version 3
-		0x01, 0x00, 0x00, 0x00, // 1 edge, no flag
-		0x00, 0x00, 0x00, 0x00, // 0 attrs
-		0x01, 0x00, 0x00, 0x00, // src 1
-		0x02, 0x00, 0x00, 0x00, // dst 2
-	}
+	golden := epochlessGoldenFrame
 	if !bytes.Equal(frame[:4], golden[:4]) || !bytes.Equal(frame[8:], golden[8:]) {
 		t.Fatalf("epoch-0 frame diverged from the PR 8 layout:\n got %x\nwant %x (crc word free)", frame, golden)
 	}

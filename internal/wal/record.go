@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"pane/internal/graph"
 )
@@ -165,14 +166,36 @@ func ReadFrame(br *bufio.Reader) (Record, error) {
 	if n < recordBaseSize || n > maxPayload {
 		return Record{}, ErrTorn
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(br, payload); err != nil {
+	payload, err := readPayload(br, int(n))
+	if err != nil {
 		return Record{}, tornOr(err)
 	}
 	if crc32.Checksum(payload, castagnoli) != crc {
 		return Record{}, ErrTorn
 	}
 	return decodePayload(payload)
+}
+
+// payloadStep bounds how far readPayload allocates ahead of the bytes it
+// has actually read.
+const payloadStep = 1 << 20
+
+// readPayload reads exactly n bytes from r. The length word is untrusted
+// (a torn tail, a corrupt segment, a hostile /replicate stream), so the
+// buffer grows at most payloadStep ahead of the bytes that really arrive:
+// a header claiming maxPayload on a short stream costs about a megabyte,
+// not a gigabyte.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, payloadStep))
+	for len(buf) < n {
+		lo := len(buf)
+		hi := lo + min(n-lo, payloadStep)
+		buf = slices.Grow(buf, hi-lo)[:hi]
+		if _, err := io.ReadFull(r, buf[lo:hi]); err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 // decodePayload parses a checksum-verified payload.
