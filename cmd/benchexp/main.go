@@ -25,13 +25,12 @@
 // pipeline (frontier-restricted recurrence patch + restricted sweeps +
 // incremental per-shard refresh), sweeping the delta size and reporting
 // update-to-fresh-index latency with the incremental model time broken
-// into affinity/CCD/transform phases, plus a node-attribute batch
-// absorbed by the low-rank gram correction instead of a full rebuild.
-// The result goes to -json (default BENCH_update.json); the run fails if
-// the incrementally refreshed index does not answer bit-for-bit like a
-// fresh build after the edge sweep (or within 0.999 top-10 recall after
-// the attribute batch), and -baseline/-tolerance gate the model, index,
-// and total speedups the same way the top-k gate does.
+// into affinity/CCD/transform phases, plus a node-attribute batch served
+// by the same dirty-row refresh. The result goes to -json (default
+// BENCH_update.json); the run fails if the incrementally refreshed index
+// does not answer bit-for-bit like a fresh build after the edge sweep or
+// after the attribute batch, and -baseline/-tolerance gate the model,
+// index, and total speedups the same way the top-k gate does.
 //
 // `-exp kernel` microbenchmarks the four scan kernels (float64 dot,
 // blocked GEMM, int8 dot, fp16 decode-and-accumulate) portable vs

@@ -78,9 +78,8 @@ func checkRowList(rows []int, limit int, what string) error {
 // RefineRowsFrom is the delta-restricted form of RefineFrom: only the
 // listed node and attribute rows are swept; every unlisted row of the
 // returned embedding is bit-identical to prev. This is what makes the
-// update path O(Δ) downstream — the serving index can trust that exactly
-// delta's rows (plus, when any Y row moved, everything derived from the
-// Gram matrix G = YᵀY) changed.
+// update path O(Δ) downstream — the serving index, which indexes Xb and
+// Y directly, can trust that exactly the delta's rows changed.
 //
 // A node-only delta (no attribute rows) additionally restricts the
 // residual rebuild to the touched rows: the node sweep for row v reads
@@ -152,8 +151,8 @@ func refineRows(st *state, sweeps, nb int, nodes, attrs []int) {
 // the touched rows are gathered into compact matrices, their residual
 // rows built directly (O(|Δ|·d·k), not O(n·d·k)), swept with Y fixed,
 // and scattered back into clones of the previous factors. Y is returned
-// by reference, unchanged — which is what lets the serving layer keep
-// every Gram-derived structure (G, Z rows of untouched nodes) bit-for-bit.
+// by reference, unchanged, so the Gram matrix G = YᵀY is bit-for-bit the
+// previous version's.
 func refineNodeRowsGathered(prev *Embedding, f, b *mat.Dense, sweeps, nb int, nodes []int) *Embedding {
 	fRows := mat.New(len(nodes), f.Cols)
 	bRows := mat.New(len(nodes), b.Cols)

@@ -54,40 +54,25 @@ func (s *LinkScorer) Undirected(u, v int) float64 {
 	return s.Directed(u, v) + s.Directed(v, u)
 }
 
-// TransformedCandidates materializes Z = Xb·G (G = YᵀY is symmetric), the
-// n x k/2 candidate matrix of the link model: p(u, v) = Xf[u]·Z[v]ᵀ.
-// Computing Z once per model version moves the per-query O(k²) transform
-// of TopKTargets into an index build step (internal/index), leaving each
-// candidate at one O(k/2) dot product with no per-query setup. nb is the
-// worker count for the multiply.
-func (s *LinkScorer) TransformedCandidates(nb int) *mat.Dense {
-	return s.TransformedCandidatesRange(0, s.e.Xb.Rows, nb)
-}
-
-// TransformedCandidatesRange materializes rows [lo, hi) of Z = Xb·G — one
-// contiguous shard of the candidate matrix. Each output row is computed by
-// the same row-owned kernel as the full product, so shard-wise assembly is
-// bit-for-bit identical to TransformedCandidates: sharded serving can
-// build S independent blocks concurrently without changing any score.
-func (s *LinkScorer) TransformedCandidatesRange(lo, hi, nb int) *mat.Dense {
-	return mat.ParMul(s.e.Xb.RowSlice(lo, hi), s.g, nb)
-}
-
-// TransformedCandidatesRows materializes only the listed rows of Z =
-// Xb·G: row j of the result is Z[rows[j]]. Each row is computed by the
-// same row-owned kernel as TransformedCandidates (mat.MulRowInto), so a
-// recomputed row is bit-for-bit the row a full rebuild would produce —
-// which is what lets an incremental index refresh patch Δ rows into a
-// previous version's candidate matrix instead of recomputing all n. nb is
-// the worker count over the listed rows.
-func (s *LinkScorer) TransformedCandidatesRows(rows []int, nb int) *mat.Dense {
-	out := mat.New(len(rows), s.g.Cols)
-	mat.ParallelRanges(len(rows), nb, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			mat.MulRowInto(out.Row(j), s.e.Xb, rows[j], s.g)
+// QueryInto writes the link query vector of node u, q = Xf[u]·G, into
+// dst (which must have length k/2) and returns it: q·Xb[v]ᵀ is p(u, v),
+// so Xb itself is the candidate matrix for indexed link retrieval, just as
+// Y is for attributes (AttrQueryInto). The transform is one mat.AxpyVec
+// per nonzero Xf[u][i] over the rows of the symmetric G, which pins it to
+// the canonical FMA-free rounding on every host and build tag — the scan
+// fallback (TopKTargets) and the indexed exact tier therefore score every
+// candidate with the same bits. Any previous contents of dst are
+// overwritten, so pooled scratch is fine.
+func (s *LinkScorer) QueryInto(u int, dst []float64) []float64 {
+	for i := range dst {
+		dst[i] = 0
+	}
+	for i, x := range s.e.Xf.Row(u) {
+		if x != 0 {
+			mat.AxpyVec(x, s.g.Row(i), dst)
 		}
-	})
-	return out
+	}
+	return dst
 }
 
 // AttrQueryInto writes the attribute-inference query vector of node v,

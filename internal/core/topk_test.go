@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -90,6 +91,32 @@ func TestTopKTargetsMatchesBruteForce(t *testing.T) {
 	for i := range got {
 		if d := got[i].Score - all[i].Score; d > 1e-9 || d < -1e-9 {
 			t.Fatalf("rank %d: got %v want %v", i, got[i], all[i])
+		}
+	}
+}
+
+// TestQueryIntoScoresLikeDirected: q = Xf[u]·G dotted with Xb[v] is the
+// link score p(u, v) up to summation order, and QueryInto fully
+// overwrites its destination — pooled scratch holding an earlier query
+// must produce the same bits as a fresh zero vector.
+func TestQueryIntoScoresLikeDirected(t *testing.T) {
+	g, e := topkEmbedding(t)
+	s := NewLinkScorer(e)
+	dirty := make([]float64, e.Xf.Cols)
+	for u := 0; u < g.N; u += 7 {
+		q := s.QueryInto(u, make([]float64, e.Xf.Cols))
+		s.QueryInto((u+1)%g.N, dirty)
+		again := s.QueryInto(u, dirty)
+		for i := range q {
+			if math.Float64bits(q[i]) != math.Float64bits(again[i]) {
+				t.Fatalf("u=%d: reused destination changed component %d: %v vs %v", u, i, again[i], q[i])
+			}
+		}
+		for v := 0; v < g.N; v++ {
+			want := s.Directed(u, v)
+			if d := mat.Dot(q, e.Xb.Row(v)) - want; math.Abs(d) > 1e-9*(1+math.Abs(want)) {
+				t.Fatalf("p(%d,%d): query-vector score off by %v", u, v, d)
+			}
 		}
 	}
 }

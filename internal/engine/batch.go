@@ -87,10 +87,10 @@ func (e *Engine) Execute(qs []Query) ([]Result, uint64) {
 // batches.
 func (m *Model) Execute(qs []Query) []Result { return m.execute(qs, nil, nil) }
 
-// vecPool recycles per-query float64 scratch (the AttrQueryInto targets):
-// a batch of attribute top-k queries would otherwise allocate one vector
-// per query. Entries are pooled by capacity check, since engines with
-// different embedding widths may share the process.
+// vecPool recycles per-query float64 scratch (the QueryInto and
+// AttrQueryInto targets): a batch of top-k queries would otherwise
+// allocate one vector per query. Entries are pooled by capacity check,
+// since engines with different embedding widths may share the process.
 var vecPool sync.Pool
 
 func getVec(n int) []float64 {
@@ -231,7 +231,8 @@ func (m *Model) run(q Query, shards []*shardIdx, met *engineMetrics, resIdx int,
 				return fail("engine: src %d out of range [0,%d)", q.Src, m.Nodes())
 			}
 			u := q.Src
-			p.q = m.Emb.Xf.Row(u)
+			p.q = m.Scorer.QueryInto(u, getVec(m.Emb.Xf.Cols))
+			p.qPooled = true
 			p.opt.Skip = func(id int) bool { return id == u }
 			p.subs, res.Backend = linkSubs(shards, mode)
 		}

@@ -210,14 +210,13 @@ func WithRefreshThreshold(t float64) Option {
 // WithAffinityThreshold sets the frontier fraction (of the node count) at
 // or below which the model side of an incremental update patches the
 // retained affinity recurrence state over the delta's t-hop frontier —
-// O(Δ) instead of the full O(n·d·t) recurrence — and enables the low-rank
-// Gram correction that keeps small attribute deltas off the full
-// link-space rebuild. 0 disables both (every update recomputes affinity
-// from scratch and attribute deltas poison the link space), trading the
-// state's 2·t·n·d float memory retention for the old behavior — the
-// serving escape hatch behind paneserve's -full-affinity. Values outside
-// [0, 1] are a construction error. The affinity path only runs for
-// updates the refresh threshold already routed to the delta path.
+// O(Δ) instead of the full O(n·d·t) recurrence. 0 disables it (every
+// update recomputes affinity from scratch), trading speed for not
+// retaining the state's 2·t·n·d floats — the serving escape hatch behind
+// paneserve's -full-affinity. Either way the update refines only the
+// delta's rows, so the index refresh is the same. Values outside [0, 1]
+// are a construction error. The affinity path only runs for updates the
+// refresh threshold already routed to the delta path.
 func WithAffinityThreshold(t float64) Option {
 	return func(e *Engine) {
 		if t < 0 || t > 1 {
@@ -248,10 +247,6 @@ type UpdateStats struct {
 	// total frontier size (forward + backward rows re-run).
 	AffinityIncremental bool
 	AffinityFrontier    int
-	// GramCorrection reports whether an attribute delta shipped a
-	// low-rank Z-correction to the index instead of poisoning the link
-	// space into full rebuilds.
-	GramCorrection bool
 }
 
 // WithUpdateObserver registers fn to be called synchronously after every
@@ -545,31 +540,16 @@ func (e *Engine) applyLocked(edges []graph.Edge, attrs []graph.AttrEntry) (*Mode
 	// The model is live immediately; the index catches up asynchronously
 	// and queries fall back to the scan path until it publishes. The delta
 	// tells the per-shard workers which rows to refresh: a full-sweep
-	// update dirties everything, a restricted one only its touched rows —
-	// except that any moved Y row shifts the Gram matrix G = YᵀY and with
-	// it every link candidate row, so the link space goes full then.
+	// update dirties everything, a restricted one only its touched rows.
+	// The shards index the model's own Xb and Y rows, and a restricted
+	// refinement moves exactly those rows, so an attribute delta is an
+	// ordinary dirty-row refresh in both spaces: the Y movement reaches
+	// link queries through the query vector Xf[u]·G, not the candidates.
 	d := idxDelta{target: next.Version}
 	if incremental {
 		d.links = touched.Nodes
 		d.attrs = touched.Attrs
 		d.rows = touched.Rows()
-		if len(touched.Attrs) > 0 {
-			// An attribute delta moves Y rows and with them G = YᵀY — every
-			// link candidate row shifts. When the affinity path is on and
-			// the delta is low-rank relative to the space (2·|Δattrs| <
-			// k/2), ship the correction Z += Xb·ΔG instead of poisoning the
-			// link space into per-shard full rebuilds: the restricted
-			// refinement moved exactly touched.Attrs' Y rows, so the
-			// correction plus exact recomputation of the dirty node rows
-			// reproduces the new candidate matrix up to float round-off.
-			if gd := e.gramFor(prev.Emb, emb, touched.Attrs); gd != nil {
-				d.gram = gd
-				stats.GramCorrection = true
-				e.met.gram.Inc()
-			} else {
-				d.linksFull = true
-			}
-		}
 	} else {
 		d.linksFull, d.attrsFull = true, true
 		d.rows = g.N + g.D
@@ -587,22 +567,6 @@ func threads(cfg core.Config) int {
 		return 1
 	}
 	return cfg.Threads
-}
-
-// gramFor builds the low-rank link-space correction for an attribute
-// delta, or nil when the correction doesn't apply: the affinity path is
-// off, or the delta's rank bound 2·|Δattrs| reaches the factor width k/2
-// (at which point correcting every row costs as much as the full
-// transform it replaces).
-func (e *Engine) gramFor(prevEmb, emb *core.Embedding, attrs []int) *core.GramDelta {
-	if e.affinityThreshold <= 0 || 2*len(attrs) >= emb.Y.Cols {
-		return nil
-	}
-	gd, err := core.NewGramDelta(prevEmb.Y, emb.Y, attrs)
-	if err != nil {
-		return nil
-	}
-	return gd
 }
 
 // AffinityStatus reports the model-side incremental-update state for
@@ -623,22 +587,18 @@ type AffinityStatus struct {
 	// Drift is the retained state's advisory column-sum drift estimate;
 	// past the internal rebuild bound the next update rebuilds the state.
 	Drift float64 `json:"drift"`
-	// GramCorrections counts attribute updates served through the
-	// low-rank link-space correction instead of full rebuilds.
-	GramCorrections uint64 `json:"gram_corrections"`
 }
 
 // AffinityStatus returns the current model-side update accounting, read
 // from the same obs handles GET /metrics exposes.
 func (e *Engine) AffinityStatus() AffinityStatus {
 	return AffinityStatus{
-		Enabled:         e.affinityThreshold > 0 && e.refreshThreshold > 0,
-		Threshold:       e.affinityThreshold,
-		Incremental:     e.met.affPassIncr.Value(),
-		Full:            e.met.affPassFull.Value(),
-		FrontierRows:    uint64(e.met.affFrontier.Value()),
-		Drift:           e.met.affDrift.Value(),
-		GramCorrections: e.met.gram.Value(),
+		Enabled:      e.affinityThreshold > 0 && e.refreshThreshold > 0,
+		Threshold:    e.affinityThreshold,
+		Incremental:  e.met.affPassIncr.Value(),
+		Full:         e.met.affPassFull.Value(),
+		FrontierRows: uint64(e.met.affFrontier.Value()),
+		Drift:        e.met.affDrift.Value(),
 	}
 }
 

@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"bytes"
+	"encoding/binary"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -267,6 +270,64 @@ func TestFP16IncrementalRefreshMatchesFullRebuild(t *testing.T) {
 					t.Fatalf("mode %q u=%d rank=%d: %v != %v", mode, u, i, got.Results[i], want.Results[i])
 				}
 			}
+		}
+	}
+}
+
+// TestFormatV5BundleReencodesLinkCodes: a format-5 bundle's link SQ8 and
+// fp16 codes encode the retired candidate transform Z = Xb·G. Restoring
+// one must drop them — never serve them as Xb codes — while reusing the
+// attribute codes, and the re-encoded link tiers must answer bit for bit
+// like the engine that wrote the bundle.
+func TestFormatV5BundleReencodesLinkCodes(t *testing.T) {
+	eng := fp16Engine(t, 2)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "v6.pane")
+	if _, err := eng.Snapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	b, err := store.LoadBundleFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Quant == nil || b.Half == nil || b.Quant.Links.Rows == 0 || b.Half.Links.Rows == 0 {
+		t.Fatal("snapshot did not carry both link payloads")
+	}
+	// Scramble the link codes so that reusing them would change answers,
+	// then write the bundle as format 5 (same layout, older format word).
+	for i := range b.Quant.Links.Codes {
+		b.Quant.Links.Codes[i] = -b.Quant.Links.Codes[i]
+	}
+	for i := range b.Half.Links.Codes {
+		b.Half.Links.Codes[i] ^= 0x8000 // flip every sign
+	}
+	var buf bytes.Buffer
+	if err := store.WriteBundle(&buf, b); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	binary.LittleEndian.PutUint64(raw[8:16], 5)
+	v5 := filepath.Join(dir, "v5.pane")
+	if err := os.WriteFile(v5, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := Open(v5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := eng.Model()
+	if rq := restored.restoredQuant.Load(); rq == nil || rq.links.Rows != 0 || rq.attrs.Rows != m.Attrs() {
+		t.Fatal("v5 restore must drop the link SQ8 codes and keep the attribute codes")
+	}
+	if rh := restored.restoredHalf.Load(); rh == nil || rh.links.Rows != 0 || rh.attrs.Rows != m.Attrs() {
+		t.Fatal("v5 restore must drop the link fp16 codes and keep the attribute codes")
+	}
+	for u := 0; u < m.Nodes(); u += 7 {
+		for _, mode := range []string{ModeSQ8, ModeFP16, ModeIVFSQ, ModeIVFFP16} {
+			sameAnswers(t, "v5-restored links "+mode,
+				mustTop(t, eng, true, u, 5, mode, 0), mustTop(t, restored, true, u, 5, mode, 0))
+			sameAnswers(t, "v5-restored attrs "+mode,
+				mustTop(t, eng, false, u, 4, mode, 0), mustTop(t, restored, false, u, 4, mode, 0))
 		}
 	}
 }

@@ -1,13 +1,13 @@
 package engine
 
 // Sharded per-version top-k index lifecycle. An Engine with indexing
-// enabled partitions the candidate matrices — Z = Xb·G for links (n
-// rows), Y for attributes (d rows) — into S contiguous row shards. Each
-// shard owns an exact backend (and optionally IVF and the SQ8/IVFSQ
-// quantized tiers) over its block only, published through its own atomic
-// pointer and rebuilt by its own worker goroutine: after an update, S
-// independent, smaller rebuilds overlap instead of one O(n) blocking
-// build. All of a shard's enabled representations are built before the
+// enabled partitions the candidate matrices — Xb for links (n rows), Y
+// for attributes (d rows), both views of the model's own factors — into
+// S contiguous row shards. Each shard owns an exact backend (and
+// optionally the IVF, SQ8/IVFSQ and fp16 tiers) over its block only,
+// published through its own atomic pointer and rebuilt by its own worker
+// goroutine: after an update, S independent, smaller rebuilds overlap
+// instead of one O(n) blocking build. All of a shard's enabled representations are built before the
 // shard publishes, so the tiers can never serve mixed versions.
 //
 // A query resolves the model first, then accepts the shard set only if
@@ -188,46 +188,50 @@ func WithManualIndexRebuild() Option {
 // Every enabled representation is built BEFORE the shardIdx is published
 // through its slot, so a query can never observe a shard whose exact tier
 // is at one version and whose quantized tier is at another. A generation
-// produced by incremental refresh shares unchanged storage (the candidate
-// block, quantized codes, inverted lists) with its predecessor; a shard
-// with no dirty rows shares everything and republishing it is O(1).
+// produced by incremental refresh shares unchanged storage (quantized
+// codes, inverted lists) with its predecessor; a shard with no dirty rows
+// shares everything and republishing it is O(1).
 type shardIdx struct {
-	version    uint64
-	z          *mat.Dense  // this shard's block of Z = Xb·G (rows lo..hi)
-	links      index.Index // over z; query vector is Xf[u]
-	attrs      index.Index // over Y[alo:ahi); nil when the shard has no attr rows
-	linksIVF   index.Index // nil unless cfg.IVF
-	attrsIVF   index.Index
-	linksSQ    index.Index // nil unless cfg.Quantize
-	attrsSQ    index.Index
-	linksIVFSQ index.Index // nil unless cfg.IVF && cfg.Quantize
-	attrsIVFSQ index.Index
-	linksFP16  index.Index // nil unless cfg.FP16
-	attrsFP16  index.Index
-	linksIVFFP index.Index // nil unless cfg.IVF && cfg.FP16
-	attrsIVFFP index.Index
+	version uint64
+	links   tiers // over Xb[lo:hi); the query vector is Xf[u]·G
+	attrs   tiers // over Y[alo:ahi); zero when the shard has no attr rows
+}
+
+// tiers is one candidate space's backends within a shard generation. The
+// exact tier is always built; the others are nil unless configured (ivfsq
+// and ivffp additionally need the IVF).
+type tiers struct {
+	exact, ivf, sq, ivfsq, fp16, ivffp index.Index
+}
+
+// get returns the tier serving backend (the exact tier for BackendExact).
+func (t *tiers) get(backend string) index.Index {
+	switch backend {
+	case BackendIVF:
+		return t.ivf
+	case BackendSQ8:
+		return t.sq
+	case BackendIVFSQ:
+		return t.ivfsq
+	case BackendFP16:
+		return t.fp16
+	case BackendIVFFP16:
+		return t.ivffp
+	}
+	return t.exact
 }
 
 // shardPending is one shard's accumulated rebuild obligation: the model
 // version the delta reaches (0 = nothing pending) and the dirty rows —
 // coalesced across every update since the shard last published — that
 // carry the published index to it. linksFull/attrsFull poison a space
-// into a full rebuild (full-sweep model updates; any Y movement for the
-// link space, since G = YᵀY shifts every candidate row).
+// into a full rebuild (full-sweep model updates move every row).
 type shardPending struct {
 	target    uint64
 	linksFull bool
 	attrsFull bool
-	links     map[int]struct{} // global Z row ids inside this shard's range
+	links     map[int]struct{} // global Xb row ids inside this shard's range
 	attrs     map[int]struct{} // global Y row ids inside this shard's range
-	// grams are the accumulated low-rank link-space corrections of the
-	// attribute deltas since the shard last published, oldest first. Each
-	// is additive on every row whose Xb row did not change, and rows that
-	// did change are in links and get recomputed exactly — so applying
-	// them all against the current model's Xb is order-independent and
-	// reproduces the pending Z shift without a full transform. Ignored
-	// when linksFull poisons the space (the rebuild recomputes Z anyway).
-	grams []*core.GramDelta
 }
 
 // idxDelta is one published update's dirty-row report, handed from apply
@@ -237,8 +241,7 @@ type idxDelta struct {
 	linksFull    bool
 	attrsFull    bool
 	links, attrs []int
-	gram         *core.GramDelta // low-rank Z correction of an attr delta
-	rows         int             // total dirty rows, for monitoring
+	rows         int // total dirty rows, for monitoring
 }
 
 // shardSet is the sharded serving-index state of one Engine: the fixed
@@ -246,7 +249,7 @@ type idxDelta struct {
 // so the ranges never change), one published-index slot per shard, and
 // the per-shard rebuild scheduling state.
 type shardSet struct {
-	linkRanges [][2]int // contiguous row ranges of Z; one per shard
+	linkRanges [][2]int // contiguous row ranges of Xb; one per shard
 	attrRanges [][2]int // contiguous row ranges of Y; len <= len(linkRanges)
 	slots      []atomic.Pointer[shardIdx]
 
@@ -291,7 +294,7 @@ func newShardSet(n, d, s int) *shardSet {
 	return ss
 }
 
-// linkShard maps a global Z row to its shard. SplitRanges uses equal
+// linkShard maps a global Xb row to its shard. SplitRanges uses equal
 // ceil(n/S)-sized chunks (the last possibly shorter), so this is a
 // division, not a search.
 func (ss *shardSet) linkShard(r int) int {
@@ -313,9 +316,6 @@ func (ss *shardSet) markLocked(d idxDelta) {
 		p.target = d.target
 		p.linksFull = p.linksFull || d.linksFull
 		p.attrsFull = p.attrsFull || d.attrsFull
-		if d.gram != nil {
-			p.grams = append(p.grams, d.gram)
-		}
 	}
 	if !d.linksFull {
 		for _, r := range d.links {
@@ -348,10 +348,6 @@ func (ss *shardSet) remergeLocked(s int, p shardPending) {
 	cur.attrsFull = cur.attrsFull || p.attrsFull
 	cur.links = unionRows(cur.links, p.links)
 	cur.attrs = unionRows(cur.attrs, p.attrs)
-	if len(p.grams) > 0 {
-		// p's corrections predate whatever accumulated meanwhile.
-		cur.grams = append(append([]*core.GramDelta(nil), p.grams...), cur.grams...)
-	}
 }
 
 func unionRows(dst, src map[int]struct{}) map[int]struct{} {
@@ -411,219 +407,121 @@ func (e *Engine) shardBuildParams(m *Model) buildParams {
 	}
 }
 
-// buildShardIdx materializes shard s's indexes for m from scratch. Only
-// the shard's own block of Z is computed (rows linkRanges[s]), which is
-// what makes S rebuilds S-times smaller than one monolithic build.
+// buildShardIdx materializes shard s's indexes for m from scratch over
+// the shard's own rows of each space, which is what makes S rebuilds
+// S-times smaller than one monolithic build.
 func (e *Engine) buildShardIdx(m *Model, s int) *shardIdx {
 	bp := e.shardBuildParams(m)
+	ss := e.shards
 	si := &shardIdx{version: m.Version}
-	e.buildShardLinks(si, m, s, bp)
-	e.buildShardAttrs(si, m, s, bp)
+	lo, hi := ss.linkRanges[s][0], ss.linkRanges[s][1]
+	si.links = e.buildTiers(m, spaceLinks, lo, hi, bp)
+	if s < len(ss.attrRanges) {
+		alo, ahi := ss.attrRanges[s][0], ss.attrRanges[s][1]
+		si.attrs = e.buildTiers(m, spaceAttrs, alo, ahi, bp)
+	}
 	return si
 }
 
-// buildShardLinks fills si's link-space tiers with a full build over the
-// shard's freshly computed Z block.
-func (e *Engine) buildShardLinks(si *shardIdx, m *Model, s int, bp buildParams) {
-	ss := e.shards
-	lo, hi := ss.linkRanges[s][0], ss.linkRanges[s][1]
-	z := m.Scorer.TransformedCandidatesRange(lo, hi, bp.threads)
-	si.z = z
-	si.links = index.Shift(index.NewExact(z, bp.threads), lo)
+// buildTiers builds every configured tier over rows [lo, hi) of one
+// candidate space of m from scratch.
+func (e *Engine) buildTiers(m *Model, space, lo, hi int, bp buildParams) tiers {
+	data := m.candidates(space, lo, hi)
+	t := tiers{exact: index.Shift(index.NewExact(data, bp.threads), lo)}
 	if bp.cfg.IVF {
-		iv := index.BuildIVF(z, bp.ivfCfg)
-		si.linksIVF = index.Shift(iv, lo)
+		iv := index.BuildIVF(data, bp.ivfCfg)
+		t.ivf = index.Shift(iv, lo)
 		if bp.cfg.Quantize {
-			si.linksIVFSQ = index.Shift(index.NewIVFSQ(iv, z, bp.cfg.Rerank), lo)
+			t.ivfsq = index.Shift(index.NewIVFSQ(iv, data, bp.cfg.Rerank), lo)
 		}
 		if bp.cfg.FP16 {
-			si.linksIVFFP = index.Shift(index.NewIVFFP16(iv, z), lo)
+			t.ivffp = index.Shift(index.NewIVFFP16(iv, data), lo)
 		}
 	}
 	if bp.cfg.Quantize {
-		si.linksSQ = index.Shift(e.buildSQ8(quantLinks, m.Version, z, lo, bp.cfg.Rerank, bp.threads), lo)
+		t.sq = index.Shift(e.buildSQ8(space, m.Version, data, lo, bp.cfg.Rerank, bp.threads), lo)
 	}
 	if bp.cfg.FP16 {
-		si.linksFP16 = index.Shift(e.buildFP16(quantLinks, m.Version, z, lo, bp.threads), lo)
+		t.fp16 = index.Shift(e.buildFP16(space, m.Version, data, lo, bp.threads), lo)
 	}
-}
-
-// buildShardAttrs fills si's attribute-space tiers with a full build over
-// the shard's Y block (a view of the model's matrix, not a copy).
-func (e *Engine) buildShardAttrs(si *shardIdx, m *Model, s int, bp buildParams) {
-	ss := e.shards
-	if s >= len(ss.attrRanges) {
-		return
-	}
-	alo, ahi := ss.attrRanges[s][0], ss.attrRanges[s][1]
-	y := m.Emb.Y.RowSlice(alo, ahi)
-	si.attrs = index.Shift(index.NewExact(y, bp.threads), alo)
-	if bp.cfg.IVF {
-		iv := index.BuildIVF(y, bp.ivfCfg)
-		si.attrsIVF = index.Shift(iv, alo)
-		if bp.cfg.Quantize {
-			si.attrsIVFSQ = index.Shift(index.NewIVFSQ(iv, y, bp.cfg.Rerank), alo)
-		}
-		if bp.cfg.FP16 {
-			si.attrsIVFFP = index.Shift(index.NewIVFFP16(iv, y), alo)
-		}
-	}
-	if bp.cfg.Quantize {
-		si.attrsSQ = index.Shift(e.buildSQ8(quantAttrs, m.Version, y, alo, bp.cfg.Rerank, bp.threads), alo)
-	}
-	if bp.cfg.FP16 {
-		si.attrsFP16 = index.Shift(e.buildFP16(quantAttrs, m.Version, y, alo, bp.threads), alo)
-	}
+	return t
 }
 
 // refreshShard produces shard s's next generation from base using p's
-// dirty rows, choosing per space between sharing (no dirty rows),
-// incremental refresh (dirty fraction at or below the threshold), and a
-// full rebuild (poisoned space or a delta past the threshold). Incremental
-// link refresh recomputes only the dirty Z rows (core's row-restricted
-// transform is bit-identical to the full product), patches them into a
-// clone of the previous block, and runs each tier's copy-on-write Refresh;
-// the IVF tier keeps its trained coarse quantizer, exactly as a frozen-
-// quantizer full rebuild would assign every row. fullWork reports whether
-// any space fell back to a from-scratch build.
+// dirty rows; see refreshTiers for the per-space choice. fullWork reports
+// whether any space fell back to a from-scratch build.
 func (e *Engine) refreshShard(m *Model, s int, base *shardIdx, p shardPending) (si *shardIdx, fullWork bool) {
 	bp := e.shardBuildParams(m)
 	ss := e.shards
-	thr := e.refreshThreshold
 	si = &shardIdx{version: m.Version}
-
 	lo, hi := ss.linkRanges[s][0], ss.linkRanges[s][1]
-	linkRows := sortedRowsIn(p.links, lo, hi)
-	gramRank := 0
-	for _, gd := range p.grams {
-		gramRank += gd.Rank()
-	}
-	switch {
-	case p.linksFull || gramRank >= m.Emb.Y.Cols ||
-		float64(len(linkRows)) > thr*float64(hi-lo):
-		// Poisoned space, a coalesced correction whose rank bound reaches
-		// the factor width (correcting every row would cost as much as the
-		// full transform), or a dirty delta past the threshold.
-		e.buildShardLinks(si, m, s, bp)
-		fullWork = true
-	case len(linkRows) == 0 && len(p.grams) == 0:
-		si.z = base.z
-		si.links, si.linksIVF = base.links, base.linksIVF
-		si.linksSQ, si.linksIVFSQ = base.linksSQ, base.linksIVFSQ
-		si.linksFP16, si.linksIVFFP = base.linksFP16, base.linksIVFFP
-	case len(p.grams) > 0:
-		// Low-rank path: every candidate row shifts by Xb[i]·ΔG, so apply
-		// the accumulated corrections to the whole block in O(n·rank·k),
-		// then overwrite the dirty rows — the rows whose Xb changed, for
-		// which the additive correction is wrong — with exactly recomputed
-		// values. Every tier re-derives from the moved block: SQ8
-		// re-encodes all rows, the IVF keeps its assignments (Reseat — the
-		// values moved by a correction-sized nudge, not to new clusters),
-		// and IVFSQ re-quantizes the reseated lists.
-		z := base.z.Clone()
-		for _, gd := range p.grams {
-			gd.Apply(z, m.Emb.Xb, lo, bp.threads)
-		}
-		if len(linkRows) > 0 {
-			patch := m.Scorer.TransformedCandidatesRows(linkRows, bp.threads)
-			for j, r := range linkRows {
-				copy(z.Row(r-lo), patch.Row(j))
-			}
-		}
-		si.z = z
-		si.links = index.Shift(unshift(base.links).(*index.Exact).Refresh(z), lo)
-		if base.linksIVF != nil {
-			iv := unshift(base.linksIVF).(*index.IVF).Reseat(z)
-			si.linksIVF = index.Shift(iv, lo)
-			if base.linksIVFSQ != nil {
-				si.linksIVFSQ = index.Shift(unshift(base.linksIVFSQ).(*index.IVFSQ).Refresh(iv, z), lo)
-			}
-			if base.linksIVFFP != nil {
-				si.linksIVFFP = index.Shift(unshift(base.linksIVFFP).(*index.IVFFP16).Refresh(iv, z), lo)
-			}
-		}
-		if base.linksSQ != nil {
-			si.linksSQ = index.Shift(index.NewSQ8(z, bp.cfg.Rerank, bp.threads), lo)
-		}
-		if base.linksFP16 != nil {
-			si.linksFP16 = index.Shift(index.NewFP16(z, bp.threads), lo)
-		}
-	default:
-		z := base.z.Clone()
-		patch := m.Scorer.TransformedCandidatesRows(linkRows, bp.threads)
-		local := make([]int, len(linkRows))
-		for j, r := range linkRows {
-			copy(z.Row(r-lo), patch.Row(j))
-			local[j] = r - lo
-		}
-		si.z = z
-		si.links = index.Shift(unshift(base.links).(*index.Exact).Refresh(z), lo)
-		if base.linksIVF != nil {
-			iv := unshift(base.linksIVF).(*index.IVF).Refresh(z, local)
-			si.linksIVF = index.Shift(iv, lo)
-			if base.linksIVFSQ != nil {
-				si.linksIVFSQ = index.Shift(unshift(base.linksIVFSQ).(*index.IVFSQ).Refresh(iv, z), lo)
-			}
-			if base.linksIVFFP != nil {
-				si.linksIVFFP = index.Shift(unshift(base.linksIVFFP).(*index.IVFFP16).Refresh(iv, z), lo)
-			}
-		}
-		if base.linksSQ != nil {
-			si.linksSQ = index.Shift(unshift(base.linksSQ).(*index.SQ8).Refresh(z, local), lo)
-		}
-		if base.linksFP16 != nil {
-			si.linksFP16 = index.Shift(unshift(base.linksFP16).(*index.FP16).Refresh(z, local), lo)
-		}
-	}
-
-	if s >= len(ss.attrRanges) {
-		return si, fullWork
-	}
-	alo, ahi := ss.attrRanges[s][0], ss.attrRanges[s][1]
-	attrRows := sortedRowsIn(p.attrs, alo, ahi)
-	switch {
-	case p.attrsFull || float64(len(attrRows)) > thr*float64(ahi-alo):
-		e.buildShardAttrs(si, m, s, bp)
-		fullWork = true
-	case len(attrRows) == 0:
-		// The previous generation's backends wrap a view of the previous
-		// Y; with no dirty rows in this shard's range those rows are
-		// bit-identical in the new model, so sharing them is exact.
-		si.attrs, si.attrsIVF = base.attrs, base.attrsIVF
-		si.attrsSQ, si.attrsIVFSQ = base.attrsSQ, base.attrsIVFSQ
-		si.attrsFP16, si.attrsIVFFP = base.attrsFP16, base.attrsIVFFP
-	default:
-		y := m.Emb.Y.RowSlice(alo, ahi)
-		local := make([]int, len(attrRows))
-		for j, r := range attrRows {
-			local[j] = r - alo
-		}
-		si.attrs = index.Shift(unshift(base.attrs).(*index.Exact).Refresh(y), alo)
-		if base.attrsIVF != nil {
-			iv := unshift(base.attrsIVF).(*index.IVF).Refresh(y, local)
-			si.attrsIVF = index.Shift(iv, alo)
-			if base.attrsIVFSQ != nil {
-				si.attrsIVFSQ = index.Shift(unshift(base.attrsIVFSQ).(*index.IVFSQ).Refresh(iv, y), alo)
-			}
-			if base.attrsIVFFP != nil {
-				si.attrsIVFFP = index.Shift(unshift(base.attrsIVFFP).(*index.IVFFP16).Refresh(iv, y), alo)
-			}
-		}
-		if base.attrsSQ != nil {
-			si.attrsSQ = index.Shift(unshift(base.attrsSQ).(*index.SQ8).Refresh(y, local), alo)
-		}
-		if base.attrsFP16 != nil {
-			si.attrsFP16 = index.Shift(unshift(base.attrsFP16).(*index.FP16).Refresh(y, local), alo)
-		}
+	si.links, fullWork = e.refreshTiers(m, spaceLinks, lo, hi, base.links, p.linksFull, p.links, bp)
+	if s < len(ss.attrRanges) {
+		alo, ahi := ss.attrRanges[s][0], ss.attrRanges[s][1]
+		var full bool
+		si.attrs, full = e.refreshTiers(m, spaceAttrs, alo, ahi, base.attrs, p.attrsFull, p.attrs, bp)
+		fullWork = fullWork || full
 	}
 	return si, fullWork
 }
 
-// Quantized-payload spaces a bundle may carry (see buildSQ8).
+// refreshTiers carries one space's tiers over rows [lo, hi) from base to
+// m, choosing between sharing (no dirty rows: the base tiers wrap a view
+// of the previous model's matrix, whose rows in this range are
+// bit-identical in m), incremental refresh (dirty fraction at or below
+// the threshold), and a full rebuild (poisoned space or a delta past the
+// threshold). Incremental refresh runs each tier's copy-on-write Refresh
+// over a view of m's matrix; the IVF tier keeps its trained coarse
+// quantizer, exactly as a frozen-quantizer full rebuild would assign
+// every row. The bool reports a full rebuild.
+func (e *Engine) refreshTiers(m *Model, space, lo, hi int, base tiers, poisoned bool, dirty map[int]struct{}, bp buildParams) (tiers, bool) {
+	rows := sortedRowsIn(dirty, lo, hi)
+	switch {
+	case poisoned || float64(len(rows)) > e.refreshThreshold*float64(hi-lo):
+		return e.buildTiers(m, space, lo, hi, bp), true
+	case len(rows) == 0:
+		return base, false
+	}
+	data := m.candidates(space, lo, hi)
+	local := make([]int, len(rows))
+	for j, r := range rows {
+		local[j] = r - lo
+	}
+	t := tiers{exact: index.Shift(unshift(base.exact).(*index.Exact).Refresh(data), lo)}
+	if base.ivf != nil {
+		iv := unshift(base.ivf).(*index.IVF).Refresh(data, local)
+		t.ivf = index.Shift(iv, lo)
+		if base.ivfsq != nil {
+			t.ivfsq = index.Shift(unshift(base.ivfsq).(*index.IVFSQ).Refresh(iv, data), lo)
+		}
+		if base.ivffp != nil {
+			t.ivffp = index.Shift(unshift(base.ivffp).(*index.IVFFP16).Refresh(iv, data), lo)
+		}
+	}
+	if base.sq != nil {
+		t.sq = index.Shift(unshift(base.sq).(*index.SQ8).Refresh(data, local), lo)
+	}
+	if base.fp16 != nil {
+		t.fp16 = index.Shift(unshift(base.fp16).(*index.FP16).Refresh(data, local), lo)
+	}
+	return t, false
+}
+
+// Candidate spaces: the matrices the shards index, and the two halves of
+// a bundle's quantized and binary16 payloads (see buildSQ8).
 const (
-	quantLinks = iota // the link candidate matrix Z = Xb·G
-	quantAttrs        // the attribute candidate matrix Y
+	spaceLinks = iota // the link candidate matrix Xb
+	spaceAttrs        // the attribute candidate matrix Y
 )
+
+// candidates returns rows [lo, hi) of the model's candidate matrix for
+// space — a view, not a copy.
+func (m *Model) candidates(space, lo, hi int) *mat.Dense {
+	if space == spaceAttrs {
+		return m.Emb.Y.RowSlice(lo, hi)
+	}
+	return m.Emb.Xb.RowSlice(lo, hi)
+}
 
 // buildSQ8 builds one shard's SQ8 tier over full, the shard's block of
 // candidate rows [lo, lo+full.Rows) of the given space. When a
@@ -636,7 +534,7 @@ const (
 func (e *Engine) buildSQ8(space int, version uint64, full *mat.Dense, lo, rerank, threads int) *index.SQ8 {
 	if rq := e.restoredQuant.Load(); rq != nil && rq.version == version {
 		qm := &rq.links
-		if space == quantAttrs {
+		if space == spaceAttrs {
 			qm = &rq.attrs
 		}
 		hi := lo + full.Rows
@@ -657,7 +555,7 @@ func (e *Engine) buildSQ8(space int, version uint64, full *mat.Dense, lo, rerank
 func (e *Engine) buildFP16(space int, version uint64, full *mat.Dense, lo, threads int) *index.FP16 {
 	if rh := e.restoredHalf.Load(); rh != nil && rh.version == version {
 		hm := &rh.links
-		if space == quantAttrs {
+		if space == spaceAttrs {
 			hm = &rh.attrs
 		}
 		hi := lo + full.Rows
@@ -941,8 +839,8 @@ func (e *Engine) IndexStatus() IndexStatus {
 		if minVer == 0 || si.version < minVer {
 			minVer = si.version
 		}
-		if s == 0 && si.linksIVF != nil {
-			if iv, ok := unshift(si.linksIVF).(*index.IVF); ok {
+		if s == 0 && si.links.ivf != nil {
+			if iv, ok := unshift(si.links.ivf).(*index.IVF); ok {
 				st.NList = iv.NList()
 				st.NProbe = iv.DefaultNProbe()
 			}
@@ -980,10 +878,10 @@ func (e *Engine) assembleQuant(m *Model) *store.QuantPayload {
 		return true
 	}
 	for _, si := range shards {
-		if si.linksSQ == nil || !appendSQ(&qp.Links, si.linksSQ) {
+		if si.links.sq == nil || !appendSQ(&qp.Links, si.links.sq) {
 			return nil
 		}
-		if si.attrsSQ != nil && !appendSQ(&qp.Attrs, si.attrsSQ) {
+		if si.attrs.sq != nil && !appendSQ(&qp.Attrs, si.attrs.sq) {
 			return nil
 		}
 	}
@@ -1015,10 +913,10 @@ func (e *Engine) assembleHalf(m *Model) *store.HalfPayload {
 		return true
 	}
 	for _, si := range shards {
-		if si.linksFP16 == nil || !appendFP(&hp.Links, si.linksFP16) {
+		if si.links.fp16 == nil || !appendFP(&hp.Links, si.links.fp16) {
 			return nil
 		}
-		if si.attrsFP16 != nil && !appendFP(&hp.Attrs, si.attrsFP16) {
+		if si.attrs.fp16 != nil && !appendFP(&hp.Attrs, si.attrs.fp16) {
 			return nil
 		}
 	}
@@ -1096,71 +994,44 @@ func validateTopK(k int, mode string, nprobe int) (string, error) {
 	return mode, nil
 }
 
-// pickSubs selects one backend field across a shard set. The choice is
+// pickSubs selects one backend across a shard set's tiers of one space
+// (space picks the links or attrs tiers of a shard). The choice is
 // uniform across shards (every generation builds the same backends), so
 // one backend label describes the whole fan-out. A mode whose backend was
 // not built degrades along ivfsq → ivf → exact / sq8 → exact (and
 // likewise ivffp16 → ivf → exact / fp16 → exact), mirroring how an IVF
-// request on an exact-only index already served exact.
-func pickSubs(shards []*shardIdx, mode string, get func(*shardIdx, string) index.Index) ([]index.Index, string) {
+// request on an exact-only index already served exact. Shards past the
+// attribute row space contribute nil entries, which the fan-out skips.
+func pickSubs(shards []*shardIdx, mode string, space func(*shardIdx) *tiers) ([]index.Index, string) {
+	first := space(shards[0])
 	backend := BackendExact
 	switch {
-	case mode == ModeIVFSQ && get(shards[0], BackendIVFSQ) != nil:
+	case mode == ModeIVFSQ && first.ivfsq != nil:
 		backend = BackendIVFSQ
-	case mode == ModeIVFFP16 && get(shards[0], BackendIVFFP16) != nil:
+	case mode == ModeIVFFP16 && first.ivffp != nil:
 		backend = BackendIVFFP16
-	case (mode == ModeIVF || mode == ModeIVFSQ || mode == ModeIVFFP16) && get(shards[0], BackendIVF) != nil:
+	case (mode == ModeIVF || mode == ModeIVFSQ || mode == ModeIVFFP16) && first.ivf != nil:
 		backend = BackendIVF
-	case mode == ModeSQ8 && get(shards[0], BackendSQ8) != nil:
+	case mode == ModeSQ8 && first.sq != nil:
 		backend = BackendSQ8
-	case mode == ModeFP16 && get(shards[0], BackendFP16) != nil:
+	case mode == ModeFP16 && first.fp16 != nil:
 		backend = BackendFP16
 	}
 	subs := make([]index.Index, len(shards))
 	for i, si := range shards {
-		subs[i] = get(si, backend)
+		subs[i] = space(si).get(backend)
 	}
 	return subs, backend
 }
 
 // linkSubs selects each shard's link backend for mode.
 func linkSubs(shards []*shardIdx, mode string) ([]index.Index, string) {
-	return pickSubs(shards, mode, func(si *shardIdx, backend string) index.Index {
-		switch backend {
-		case BackendIVF:
-			return si.linksIVF
-		case BackendSQ8:
-			return si.linksSQ
-		case BackendIVFSQ:
-			return si.linksIVFSQ
-		case BackendFP16:
-			return si.linksFP16
-		case BackendIVFFP16:
-			return si.linksIVFFP
-		}
-		return si.links
-	})
+	return pickSubs(shards, mode, func(si *shardIdx) *tiers { return &si.links })
 }
 
-// attrSubs selects each shard's attribute backend for mode. Shards past
-// the attribute row space contribute nil entries, which the fan-out
-// skips.
+// attrSubs selects each shard's attribute backend for mode.
 func attrSubs(shards []*shardIdx, mode string) ([]index.Index, string) {
-	return pickSubs(shards, mode, func(si *shardIdx, backend string) index.Index {
-		switch backend {
-		case BackendIVF:
-			return si.attrsIVF
-		case BackendSQ8:
-			return si.attrsSQ
-		case BackendIVFSQ:
-			return si.attrsIVFSQ
-		case BackendFP16:
-			return si.attrsFP16
-		case BackendIVFFP16:
-			return si.attrsIVFFP
-		}
-		return si.attrs
-	})
+	return pickSubs(shards, mode, func(si *shardIdx) *tiers { return &si.attrs })
 }
 
 // topLinks runs the link top-k against this model, fanning out over
@@ -1176,11 +1047,12 @@ func (m *Model) topLinks(shards []*shardIdx, met *engineMetrics, u, k int, mode 
 		return nil, "", fmt.Errorf("engine: src %d out of range [0,%d)", u, m.Nodes())
 	}
 	if shards != nil {
-		q := m.Emb.Xf.Row(u)
+		q := m.Scorer.QueryInto(u, getVec(m.Emb.Xf.Cols))
 		skip := func(id int) bool { return id == u }
 		subs, backend := linkSubs(shards, mode)
 		res, fan, merge := index.SearchShardedTimed(subs, q, k, index.Options{NProbe: nprobe, Skip: skip})
 		recordStages(met, fan, merge)
+		putVec(q)
 		return res, backend, nil
 	}
 	sp := obs.StartSpan(met.scanHist())

@@ -4,6 +4,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"pane/internal/core"
+	"pane/internal/datagen"
 	"pane/internal/graph"
 )
 
@@ -28,14 +30,56 @@ func TestIndexedTopLinksMatchesScan(t *testing.T) {
 		if len(ans.Results) != len(want) {
 			t.Fatalf("u=%d: %d results, want %d", u, len(ans.Results), len(want))
 		}
-		// The indexed path computes (Xf[u]·G)·Xb[v] in a different
-		// association order than the scan, so scores match to tolerance
-		// and the ranked ids must agree wherever scores are separated.
+		// Both paths score Xf[u]·G (QueryInto) against the Xb rows.
 		for i := range want {
-			if d := ans.Results[i].Score - want[i].Score; d > 1e-9 || d < -1e-9 {
-				t.Fatalf("u=%d rank %d: score %v vs scan %v", u, i, ans.Results[i], want[i])
+			if ans.Results[i] != want[i] {
+				t.Fatalf("u=%d rank %d: %v vs scan %v", u, i, ans.Results[i], want[i])
 			}
 		}
+	}
+}
+
+// TestExactLinkTopKBitIdenticalToScorer: the indexed exact tier scans the
+// model's own Xb rows with the query vector Xf[u]·G, exactly as the scan
+// fallback Scorer.TopKTargets does — so single queries and batches,
+// sharded or not, return its answer bit for bit. K = 32 puts the
+// 16-wide vectors on the SIMD dot and axpy kernels where the host has
+// them.
+func TestExactLinkTopKBitIdenticalToScorer(t *testing.T) {
+	g, err := datagen.Generate(datagen.Config{
+		Name: "bitwise", N: 300, AvgOutDeg: 6, D: 20, AttrsPer: 4, Communities: 6, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := Train(g, core.Config{K: 32, Alpha: 0.5, Eps: 0.25, Seed: 5},
+		WithIndex(IndexConfig{Shards: 3}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := eng.Model()
+	var batch []Query
+	var want [][]core.Scored
+	for u := 0; u < g.N; u += 7 {
+		w := m.Scorer.TopKTargets(u, 10, nil)
+		got, err := eng.TopLinks(u, 10, ModeExact, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Backend != BackendExact {
+			t.Fatalf("u=%d served by %q", u, got.Backend)
+		}
+		sameAnswers(t, "exact top-links", TopKAnswer{Results: w}, got)
+		k := 10
+		batch = append(batch, Query{Op: OpTopLinks, Src: u, K: &k})
+		want = append(want, w)
+	}
+	res, _ := eng.Execute(batch)
+	for i, r := range res {
+		if r.Backend != BackendExact {
+			t.Fatalf("batch query %d served by %q", i, r.Backend)
+		}
+		sameAnswers(t, "batch top-links", TopKAnswer{Results: want[i]}, TopKAnswer{Results: r.Top})
 	}
 }
 

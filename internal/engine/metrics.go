@@ -23,7 +23,6 @@ type engineMetrics struct {
 	ccdDur       *obs.Histogram
 	affFrontier  *obs.Gauge
 	affDrift     *obs.Gauge
-	gram         *obs.Counter
 	modelVersion *obs.Gauge
 
 	// Failover / fencing.
@@ -78,8 +77,6 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 			"Total frontier rows (forward + backward) of the most recent affinity patch."),
 		affDrift: reg.Gauge("pane_update_affinity_drift",
 			"Advisory drift estimate of the retained affinity state."),
-		gram: reg.Counter("pane_update_gram_corrections_total",
-			"Attribute updates served through the low-rank Gram correction instead of a full link-space rebuild."),
 		modelVersion: reg.Gauge("pane_model_version",
 			"Version of the currently served model."),
 		epoch: reg.Gauge("pane_model_epoch",

@@ -4,8 +4,9 @@
 //
 //   - Exact scans a flat candidate matrix with a parallel blocked kernel
 //     and is always correct. For the link model the matrix is the
-//     precomputed transform Z = Xb·G, so a query is a single scan with no
-//     per-query O(k²) setup.
+//     backward embedding Xb and the query the transformed vector
+//     Xf[u]·G (core.LinkScorer.QueryInto), so a query is one O(k²)
+//     transform plus a single scan.
 //   - IVF adds a k-means coarse quantizer (an inverted file over the same
 //     vectors) for approximate sub-linear search; the recall/latency
 //     trade-off is controlled per query by the number of probed lists.

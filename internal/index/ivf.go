@@ -256,37 +256,6 @@ func (iv *IVF) Refresh(data *mat.Dense, dirty []int) *IVF {
 	return out
 }
 
-// Reseat returns an index over data in which every row's vector values
-// are refreshed but every assignment is retained: the coarse quantizer,
-// the per-list id slices, and the per-row assignment are shared with this
-// index, and only the contiguous per-list vector copies are rebuilt. It
-// is the right refresh after a low-rank correction that nudges every
-// candidate at once (an attribute-delta Gram correction moves all n rows
-// by a small amount) — reassigning all rows would cost O(n · nlist) for
-// home lists that almost never change. A row whose nearest centroid DID
-// drift across the correction stays in its old list until the next
-// Rebuild; the serving layer bounds the resulting recall drift with its
-// update bench gate.
-func (iv *IVF) Reseat(data *mat.Dense) *IVF {
-	if data.Rows != iv.n || data.Cols != iv.dim {
-		panic(fmt.Sprintf("index: IVF reseat data %dx%d does not match index n=%d dim=%d",
-			data.Rows, data.Cols, iv.n, iv.dim))
-	}
-	out := &IVF{
-		dim: iv.dim, n: iv.n, nprobe: iv.nprobe, threads: iv.threads,
-		cents: iv.cents, assigned: iv.assigned, ids: iv.ids,
-		vecs: make([]*mat.Dense, len(iv.vecs)),
-	}
-	for l, ids := range iv.ids {
-		vecs := mat.New(len(ids), iv.dim)
-		for j, id := range ids {
-			copy(vecs.Row(j), data.Row(int(id)))
-		}
-		out.vecs[l] = vecs
-	}
-	return out
-}
-
 // mergeAscending merges two ascending, disjoint int32 slices.
 func mergeAscending(a, b []int32) []int32 {
 	if len(b) == 0 {

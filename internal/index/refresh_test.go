@@ -168,67 +168,6 @@ func TestIVFRefreshChains(t *testing.T) {
 	}
 }
 
-// TestIVFReseatRefreshesValuesKeepsAssignments: after a whole-matrix
-// nudge (every candidate moved a little, as a low-rank Gram correction
-// does), Reseat must serve the new values — full-probe search equals a
-// fresh exact scan of the new matrix — while sharing the quantizer, the
-// list memberships, and the stored assignment with the old index.
-func TestIVFReseatRefreshesValuesKeepsAssignments(t *testing.T) {
-	data := randMatrix(350, 6, 9)
-	old := BuildIVF(data, IVFConfig{NList: 7, Seed: 13, Threads: 2})
-	rng := rand.New(rand.NewSource(41))
-	newData := data.Clone()
-	for i := range newData.Data {
-		newData.Data[i] += 0.01 * rng.NormFloat64()
-	}
-	res := old.Reseat(newData)
-	if res.cents != old.cents || &res.assigned[0] != &old.assigned[0] {
-		t.Fatal("Reseat must share the quantizer and the stored assignment")
-	}
-	for l := 0; l < res.NList(); l++ {
-		if &res.ids[l][0] != &old.ids[l][0] {
-			t.Fatalf("list %d: Reseat must share id storage", l)
-		}
-		for j, id := range res.ids[l] {
-			row := res.vecs[l].Row(j)
-			for p, v := range newData.Row(int(id)) {
-				if row[p] != v {
-					t.Fatalf("list %d row %d: vector not refreshed", l, j)
-				}
-			}
-		}
-	}
-	full := NewExact(newData, 1)
-	for _, q := range queries(6, 12, 43) {
-		sameResults(t, "reseat full-probe",
-			full.Search(q, 9, Options{}), res.Search(q, 9, Options{NProbe: 1 << 20}))
-	}
-	// A subsequent dirty-row Refresh must stay coherent with the retained
-	// assignment: it must equal a frozen-quantizer Rebuild... of the
-	// RESEATED assignment world only when assignments did not drift, so
-	// assert the cheaper invariant that chains still serve exactly under
-	// full probe.
-	chained, dirty := refreshDelta(newData, 9, 47)
-	cur := res.Refresh(chained, dirty)
-	fullChained := NewExact(chained, 1)
-	for _, q := range queries(6, 8, 49) {
-		sameResults(t, "reseat+refresh full-probe",
-			fullChained.Search(q, 9, Options{}), cur.Search(q, 9, Options{NProbe: 1 << 20}))
-	}
-}
-
-// TestIVFReseatShapePanics pins the shape contract.
-func TestIVFReseatShapePanics(t *testing.T) {
-	data := randMatrix(50, 4, 3)
-	iv := BuildIVF(data, IVFConfig{NList: 4, Seed: 1})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched shape should panic")
-		}
-	}()
-	iv.Reseat(randMatrix(49, 4, 3))
-}
-
 // TestIVFSQRefreshBitForBit: the quantized inverted file refreshed
 // alongside its IVF must equal a from-scratch quantization of the
 // rebuilt lists, and share code storage for untouched lists.

@@ -160,25 +160,6 @@ func ParMulInto(dst, a, b *Dense, nb int) {
 	})
 }
 
-// MulRowInto computes dst = a.Row(i)·b, a single output row of a*b, using
-// the same accumulation kernel (and therefore the same float rounding) as
-// Mul/ParMul. Incremental rebuilds rely on this bit-identity: recomputing
-// only the rows of a product that changed yields exactly the rows a full
-// recompute would. dst must have length b.Cols and must not alias a or b.
-func MulRowInto(dst []float64, a *Dense, i int, b *Dense) {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("mat: MulRowInto inner dimension mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if len(dst) != b.Cols {
-		panic("mat: MulRowInto dst length mismatch")
-	}
-	for j := range dst {
-		dst[j] = 0
-	}
-	out := &Dense{Rows: 1, Cols: b.Cols, Data: dst}
-	gemmRows(out, a.RowSlice(i, i+1), b, 0, 1)
-}
-
 // MulAT returns aᵀ*b without materializing aᵀ. a is r x c, b is r x n,
 // the result is c x n. This is the shape needed for Y-updates in CCD and
 // for projecting in RandSVD.

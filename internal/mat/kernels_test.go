@@ -113,16 +113,6 @@ func TestMulIntoMatchesGenericExhaustive(t *testing.T) {
 				t.Fatalf("MulInto(%dx%d * %dx%d) elem %d = %x, generic %x", m, k, k, n, i, math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
 			}
 		}
-		// MulRowInto must agree row-for-row with the full product.
-		row := make([]float64, n)
-		for i := 0; i < m; i++ {
-			MulRowInto(row, a, i, b)
-			for j, v := range row {
-				if math.Float64bits(v) != math.Float64bits(want.Data[i*n+j]) {
-					t.Fatalf("MulRowInto row %d col %d = %x, full product %x", i, j, math.Float64bits(v), math.Float64bits(want.Data[i*n+j]))
-				}
-			}
-		}
 	}
 }
 

@@ -31,10 +31,8 @@
 // model-side counterpart lives under "affinity": "affinity_incremental"
 // and "affinity_full" count recurrence passes by kind,
 // "affinity_frontier_rows" is the frontier size of the most recent
-// incremental pass, "drift" the running column-sum drift estimate of the
-// retained recurrence state, and "gram_corrections" how many attribute
-// deltas were absorbed by the low-rank link-space correction instead of
-// a full shard rebuild. "kernels" reports the instruction set each
+// incremental pass, and "drift" the running column-sum drift estimate of
+// the retained recurrence state. "kernels" reports the instruction set each
 // compute kernel dispatches to on this build and host ("generic",
 // "avx2", or "neon"), mirrored by the pane_kernel_dispatch info gauge on
 // /metrics.

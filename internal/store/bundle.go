@@ -34,9 +34,16 @@ import (
 //	optional fp16 payload: binary16 codes of the candidate matrices
 //	(format version 5)
 //
+// Format version 6 has the version-5 layout; it changes what the link
+// halves of the two payloads encode. Up to version 5 the link candidates
+// were the transform Z = Xb·G; from version 6 they are Xb itself. The
+// reader therefore drops the link codes of a version-4 or version-5
+// bundle (they must never be served as Xb codes) and keeps its attribute
+// codes, which have always encoded Y.
+//
 // Serialization is deterministic: saving a loaded current-format bundle
 // reproduces the input byte for byte, which snapshot tests rely on. (A
-// loaded format-1 through format-4 bundle re-saves as format 5, so only
+// loaded format-1 through format-5 bundle re-saves as format 6, so only
 // its payload — not its bytes — survives the round trip.)
 type Bundle struct {
 	ModelVersion uint64
@@ -89,7 +96,8 @@ type IndexMeta struct {
 // index.QuantizeRows produces it: Rows*Dim int8 codes row-major, and a
 // (scale, base) float32 pair per row. Because the encoding is per-row,
 // any contiguous row range of it equals the encoding of that shard's rows
-// — which is how a sharded engine consumes one flat payload.
+// — which is how a sharded engine consumes one flat payload. The zero
+// value (0x0) means the matrix is not carried; a loader re-encodes it.
 type QuantizedMatrix struct {
 	Rows, Dim   int
 	Codes       []int8
@@ -97,7 +105,7 @@ type QuantizedMatrix struct {
 }
 
 // QuantPayload carries the SQ8 encodings of both candidate spaces: the
-// link transform Z = Xb·G and the attribute matrix Y.
+// link candidates Xb and the attribute matrix Y.
 type QuantPayload struct {
 	Links, Attrs QuantizedMatrix
 }
@@ -107,14 +115,14 @@ type QuantPayload struct {
 // row-major. The encoding is per element, so any contiguous row range of
 // it equals the encoding of that shard's rows — the same slice property
 // the quantized payload has, and how a sharded engine consumes one flat
-// payload.
+// payload. The zero value (0x0) means the matrix is not carried.
 type HalfMatrix struct {
 	Rows, Dim int
 	Codes     []uint16
 }
 
 // HalfPayload carries the binary16 encodings of both candidate spaces:
-// the link transform Z = Xb·G and the attribute matrix Y.
+// the link candidates Xb and the attribute matrix Y.
 type HalfPayload struct {
 	Links, Attrs HalfMatrix
 }
@@ -123,9 +131,9 @@ const (
 	magicBundle = 0x504E4231 // "PNB1"
 	// bundleFormatV is the version written; versions 1 (no index
 	// section), 2 (index section without the shard word), 3 (no
-	// quantize/rerank words, no quantized payload), and 4 (no fp16 flag
-	// or payload) are still read.
-	bundleFormatV = 5
+	// quantize/rerank words, no quantized payload), 4 (no fp16 flag or
+	// payload), and 5 (link payloads encode Z = Xb·G) are still read.
+	bundleFormatV = 6
 )
 
 // WriteBundle serializes b to w.
@@ -303,13 +311,14 @@ func readQuant(r io.Reader) (*QuantPayload, error) {
 			return nil, fmt.Errorf("store: implausible quantized payload %dx%d", shape[0], shape[1])
 		}
 		qm.Rows, qm.Dim = int(shape[0]), int(shape[1])
-		qm.Scale = make([]float32, qm.Rows)
-		qm.Base = make([]float32, qm.Rows)
-		qm.Codes = make([]int8, qm.Rows*qm.Dim)
-		for _, dst := range []interface{}{qm.Scale, qm.Base, qm.Codes} {
-			if err := binary.Read(r, order, dst); err != nil {
-				return nil, fmt.Errorf("store: reading quantized payload: %w", err)
+		var err error
+		if qm.Scale, err = readSlice[float32](r, qm.Rows); err == nil {
+			if qm.Base, err = readSlice[float32](r, qm.Rows); err == nil {
+				qm.Codes, err = readSlice[int8](r, qm.Rows*qm.Dim)
 			}
+		}
+		if err != nil {
+			return nil, fmt.Errorf("store: reading quantized payload: %w", err)
 		}
 	}
 	return qp, nil
@@ -360,8 +369,8 @@ func readHalf(r io.Reader) (*HalfPayload, error) {
 			return nil, fmt.Errorf("store: implausible fp16 payload %dx%d", shape[0], shape[1])
 		}
 		hm.Rows, hm.Dim = int(shape[0]), int(shape[1])
-		hm.Codes = make([]uint16, hm.Rows*hm.Dim)
-		if err := binary.Read(r, order, hm.Codes); err != nil {
+		var err error
+		if hm.Codes, err = readSlice[uint16](r, hm.Rows*hm.Dim); err != nil {
 			return nil, fmt.Errorf("store: reading fp16 payload: %w", err)
 		}
 	}
@@ -426,6 +435,15 @@ func ReadBundle(r io.Reader) (*Bundle, error) {
 			return nil, err
 		}
 	}
+	if hdr[1] < 6 {
+		// The link codes of formats 4 and 5 encode Z = Xb·G, not Xb.
+		if b.Quant != nil {
+			b.Quant.Links = QuantizedMatrix{}
+		}
+		if b.Half != nil {
+			b.Half.Links = HalfMatrix{}
+		}
+	}
 	return b, b.check()
 }
 
@@ -446,26 +464,28 @@ func (b *Bundle) check() error {
 	case b.Labels != nil && len(b.Labels) != n:
 		return fmt.Errorf("store: bundle labels length %d != n=%d", len(b.Labels), n)
 	}
+	// Each payload matrix either is absent (0x0) or encodes its whole
+	// candidate matrix: Links covers Xb (n rows), Attrs covers Y, both
+	// k/2 wide.
+	fits := func(rows, dim, want int) bool {
+		return (rows == 0 && dim == 0) || (rows == want && dim == half)
+	}
 	if q := b.Quant; q != nil {
-		// The link encoding covers Z = Xb·G (n rows, k/2 wide), the
-		// attribute encoding Y itself.
 		switch {
-		case q.Links.Rows != n || q.Links.Dim != half:
-			return fmt.Errorf("store: quantized link payload %dx%d does not match Z %dx%d",
+		case !fits(q.Links.Rows, q.Links.Dim, n):
+			return fmt.Errorf("store: quantized link payload %dx%d does not match Xb %dx%d",
 				q.Links.Rows, q.Links.Dim, n, half)
-		case q.Attrs.Rows != b.Y.Rows || q.Attrs.Dim != half:
+		case !fits(q.Attrs.Rows, q.Attrs.Dim, b.Y.Rows):
 			return fmt.Errorf("store: quantized attr payload %dx%d does not match Y %dx%d",
 				q.Attrs.Rows, q.Attrs.Dim, b.Y.Rows, half)
 		}
 	}
 	if h := b.Half; h != nil {
-		// Same candidate spaces as the quantized payload: Links covers
-		// Z = Xb·G, Attrs covers Y.
 		switch {
-		case h.Links.Rows != n || h.Links.Dim != half:
-			return fmt.Errorf("store: fp16 link payload %dx%d does not match Z %dx%d",
+		case !fits(h.Links.Rows, h.Links.Dim, n):
+			return fmt.Errorf("store: fp16 link payload %dx%d does not match Xb %dx%d",
 				h.Links.Rows, h.Links.Dim, n, half)
-		case h.Attrs.Rows != b.Y.Rows || h.Attrs.Dim != half:
+		case !fits(h.Attrs.Rows, h.Attrs.Dim, b.Y.Rows):
 			return fmt.Errorf("store: fp16 attr payload %dx%d does not match Y %dx%d",
 				h.Attrs.Rows, h.Attrs.Dim, b.Y.Rows, half)
 		}
@@ -519,8 +539,8 @@ func readLabels(r io.Reader) ([][]int, error) {
 	if n > limit {
 		return nil, fmt.Errorf("store: implausible label count %d", n)
 	}
-	counts := make([]uint64, n)
-	if err := binary.Read(r, order, counts); err != nil {
+	counts, err := readSlice[uint64](r, int(n))
+	if err != nil {
 		return nil, fmt.Errorf("store: reading label sizes: %w", err)
 	}
 	// Bound each count and the running total inside the loop: a single
@@ -536,8 +556,8 @@ func readLabels(r io.Reader) ([][]int, error) {
 			return nil, fmt.Errorf("store: implausible label total %d", total)
 		}
 	}
-	flat := make([]int64, total)
-	if err := binary.Read(r, order, flat); err != nil {
+	flat, err := readSlice[int64](r, int(total))
+	if err != nil {
 		return nil, fmt.Errorf("store: reading labels: %w", err)
 	}
 	labels := make([][]int, n)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"pane/internal/core"
@@ -113,19 +114,49 @@ func TestBundleIndexMetaRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBundleReadsFormatV1(t *testing.T) {
-	// A v1 bundle is exactly a current bundle without the trailing index
-	// and quantized-payload sections and with format word 1. Readers must
-	// keep accepting it.
-	b := testBundle(true)
-	var buf bytes.Buffer
-	if err := WriteBundle(&buf, b); err != nil {
-		t.Fatal(err)
+// legacyBundle encodes b in an older bundle format v (1 through 5): the
+// current layout cut down to the sections and index words that version
+// carries, with its format word. Version 5 has the current layout.
+func legacyBundle(tb testing.TB, b *Bundle, v int) []byte {
+	tb.Helper()
+	bare := *b
+	bare.Index, bare.Quant, bare.Half = nil, nil, nil
+	var out, idx bytes.Buffer
+	if err := WriteBundle(&out, &bare); err != nil {
+		tb.Fatal(err)
 	}
-	raw := buf.Bytes()
-	v1 := append([]byte(nil), raw[:len(raw)-16]...) // drop index + quant presence words
-	order.PutUint64(v1[8:16], 1)                    // format version field
-	got, err := ReadBundle(bytes.NewReader(v1))
+	out.Truncate(out.Len() - 24) // the three absent-section flags
+	if v >= 2 {
+		if err := writeIndexMeta(&idx, b.Index); err != nil {
+			tb.Fatal(err)
+		}
+		words := map[int]int{2: 5, 3: 6, 4: 8, 5: 9}[v] // flag + config words
+		if b.Index == nil {
+			words = 1
+		}
+		out.Write(idx.Bytes()[:8*words])
+	}
+	if v >= 4 {
+		if err := writeQuant(&out, b.Quant); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if v >= 5 {
+		if err := writeHalf(&out, b.Half); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	raw := out.Bytes()
+	order.PutUint64(raw[8:16], uint64(v))
+	return raw
+}
+
+func TestBundleReadsFormatV1(t *testing.T) {
+	// A v1 bundle ends after the CSR sections: no index, quantized, or
+	// fp16 sections. Readers must keep accepting it.
+	b := testBundle(true)
+	b.Index = &IndexMeta{IVF: true, NList: 64}
+	got, err := ReadBundle(bytes.NewReader(legacyBundle(t, b, 1)))
 	if err != nil {
 		t.Fatalf("v1 bundle rejected: %v", err)
 	}
@@ -139,20 +170,11 @@ func TestBundleReadsFormatV1(t *testing.T) {
 
 func TestBundleReadsFormatV2(t *testing.T) {
 	// A v2 bundle carries the index section WITHOUT the trailing
-	// shard/quantize/rerank words (and no quantized payload). Build one
-	// from a current bundle by dropping those four words and rewriting
-	// the format word; the reader must accept it and default the shard
-	// count to 0 (unsharded).
+	// shard/quantize/rerank/fp16 words (and no payloads); the reader must
+	// accept it and default the shard count to 0 (unsharded).
 	b := testBundle(false)
 	b.Index = &IndexMeta{IVF: true, NList: 64, NProbe: 8, Seed: 5, Shards: 4}
-	var buf bytes.Buffer
-	if err := WriteBundle(&buf, b); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	v2 := append([]byte(nil), raw[:len(raw)-32]...) // drop shard+quantize+rerank+quant words
-	order.PutUint64(v2[8:16], 2)                    // format version field
-	got, err := ReadBundle(bytes.NewReader(v2))
+	got, err := ReadBundle(bytes.NewReader(legacyBundle(t, b, 2)))
 	if err != nil {
 		t.Fatalf("v2 bundle rejected: %v", err)
 	}
@@ -171,14 +193,7 @@ func TestBundleReadsFormatV3(t *testing.T) {
 	// quantized payload. The reader must default both to "unquantized".
 	b := testBundle(false)
 	b.Index = &IndexMeta{IVF: true, NList: 64, NProbe: 8, Seed: 5, Shards: 4, Quantize: true, Rerank: 6}
-	var buf bytes.Buffer
-	if err := WriteBundle(&buf, b); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	v3 := append([]byte(nil), raw[:len(raw)-24]...) // drop quantize+rerank+quant words
-	order.PutUint64(v3[8:16], 3)                    // format version field
-	got, err := ReadBundle(bytes.NewReader(v3))
+	got, err := ReadBundle(bytes.NewReader(legacyBundle(t, b, 3)))
 	if err != nil {
 		t.Fatalf("v3 bundle rejected: %v", err)
 	}
@@ -264,16 +279,12 @@ func TestBundleQuantPayloadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBundleReadsFormatV4(t *testing.T) {
-	// A v4 bundle carries the quantize/rerank words and the quantized
-	// payload but predates the fp16 flag and half payload. Build one from
-	// a current bundle by cutting the fp16 flag word out of the index
-	// section, dropping the trailing half-presence word, and rewriting the
-	// format word; the reader must accept it with FP16 false and no half
-	// payload.
+// payloadBundle is testBundle with an index configuration and both
+// payloads, every code an arbitrary bit pattern.
+func payloadBundle() *Bundle {
 	b := testBundle(false)
 	n, d, half := b.Xf.Rows, b.Y.Rows, b.Xf.Cols
-	b.Index = &IndexMeta{IVF: true, NList: 4, NProbe: 2, Seed: 1, Shards: 2, Quantize: true, Rerank: 3}
+	b.Index = &IndexMeta{IVF: true, NList: 4, NProbe: 2, Seed: 1, Shards: 2, Quantize: true, Rerank: 3, FP16: true}
 	qm := func(rows int) QuantizedMatrix {
 		m := QuantizedMatrix{Rows: rows, Dim: half,
 			Codes: make([]int8, rows*half),
@@ -287,22 +298,35 @@ func TestBundleReadsFormatV4(t *testing.T) {
 		}
 		return m
 	}
+	hm := func(rows int) HalfMatrix {
+		m := HalfMatrix{Rows: rows, Dim: half, Codes: make([]uint16, rows*half)}
+		for i := range m.Codes {
+			m.Codes[i] = uint16(i*0x1234 + 0x3C00)
+		}
+		return m
+	}
 	b.Quant = &QuantPayload{Links: qm(n), Attrs: qm(d)}
-	var buf bytes.Buffer
-	if err := WriteBundle(&buf, b); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	// Current layout tail: [fp16 flag word][quant section][half word].
-	var qbuf bytes.Buffer
-	if err := writeQuant(&qbuf, b.Quant); err != nil {
-		t.Fatal(err)
-	}
-	cut := len(raw) - 8 - qbuf.Len() - 8 // start of the fp16 flag word
-	v4 := append([]byte(nil), raw[:cut]...)
-	v4 = append(v4, raw[cut+8:len(raw)-8]...) // keep quant, drop half word
-	order.PutUint64(v4[8:16], 4)              // format version field
-	got, err := ReadBundle(bytes.NewReader(v4))
+	b.Half = &HalfPayload{Links: hm(n), Attrs: hm(d)}
+	return b
+}
+
+// sameQuant and sameHalf compare one payload matrix exactly.
+func sameQuant(a, b QuantizedMatrix) bool {
+	return a.Rows == b.Rows && a.Dim == b.Dim && slices.Equal(a.Codes, b.Codes) &&
+		slices.Equal(a.Scale, b.Scale) && slices.Equal(a.Base, b.Base)
+}
+
+func sameHalf(a, b HalfMatrix) bool {
+	return a.Rows == b.Rows && a.Dim == b.Dim && slices.Equal(a.Codes, b.Codes)
+}
+
+func TestBundleReadsFormatV4(t *testing.T) {
+	// A v4 bundle carries the quantize/rerank words and the quantized
+	// payload but predates the fp16 flag and half payload. Its link codes
+	// encode the old candidate transform Z = Xb·G, so the reader drops
+	// them and keeps the attribute codes.
+	b := payloadBundle()
+	got, err := ReadBundle(bytes.NewReader(legacyBundle(t, b, 4)))
 	if err != nil {
 		t.Fatalf("v4 bundle rejected: %v", err)
 	}
@@ -314,16 +338,55 @@ func TestBundleReadsFormatV4(t *testing.T) {
 	if got.Half != nil {
 		t.Fatal("v4 bundle grew an fp16 payload")
 	}
-	if got.Quant == nil || got.Quant.Links.Rows != n || got.Quant.Attrs.Rows != d {
-		t.Fatalf("v4 quantized payload mangled: %+v", got.Quant)
-	}
-	for i, c := range b.Quant.Links.Codes {
-		if got.Quant.Links.Codes[i] != c {
-			t.Fatalf("v4 quant code %d differs", i)
-		}
+	if got.Quant == nil || !sameQuant(got.Quant.Links, QuantizedMatrix{}) ||
+		!sameQuant(got.Quant.Attrs, b.Quant.Attrs) {
+		t.Fatalf("v4 quantized payload %+v, want link codes dropped and attr codes kept", got.Quant)
 	}
 	if !got.Xf.Equal(b.Xf, 0) {
 		t.Fatal("v4 payload mangled")
+	}
+}
+
+// TestBundleReadsFormatV5: a v5 bundle has the current layout, but both
+// payloads' link codes encode Z = Xb·G. The reader drops them, keeps the
+// attribute codes, and the bundle re-saves as v6 without link codes.
+func TestBundleReadsFormatV5(t *testing.T) {
+	b := payloadBundle()
+	got, err := ReadBundle(bytes.NewReader(legacyBundle(t, b, 5)))
+	if err != nil {
+		t.Fatalf("v5 bundle rejected: %v", err)
+	}
+	if got.Index == nil || *got.Index != *b.Index {
+		t.Fatalf("v5 index meta %+v, want %+v", got.Index, b.Index)
+	}
+	if got.Quant == nil || got.Quant.Links.Rows != 0 || !sameQuant(got.Quant.Attrs, b.Quant.Attrs) {
+		t.Fatalf("v5 quantized payload %+v", got.Quant)
+	}
+	if got.Half == nil || got.Half.Links.Rows != 0 || !sameHalf(got.Half.Attrs, b.Half.Attrs) {
+		t.Fatalf("v5 fp16 payload %+v", got.Half)
+	}
+	var buf bytes.Buffer
+	if err := WriteBundle(&buf, got); err != nil {
+		t.Fatal(err)
+	}
+	again, err := ReadBundle(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("re-saved v5 bundle rejected: %v", err)
+	}
+	if again.Quant.Links.Rows != 0 || !sameHalf(again.Half.Attrs, b.Half.Attrs) {
+		t.Fatal("re-saved v5 bundle changed its payloads")
+	}
+	// The current format keeps the link codes.
+	buf.Reset()
+	if err := WriteBundle(&buf, b); err != nil {
+		t.Fatal(err)
+	}
+	cur, err := ReadBundle(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameQuant(cur.Quant.Links, b.Quant.Links) || !sameHalf(cur.Half.Links, b.Half.Links) {
+		t.Fatal("v6 bundle lost its link codes")
 	}
 }
 
@@ -426,6 +489,19 @@ func TestBundleRejectsCorruption(t *testing.T) {
 		if _, err := ReadBundle(bytes.NewReader(raw[:cut])); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
+	}
+	// A row pointer past nnz in the adjacency section must be rejected
+	// before anything walks the rows. The section follows the 10-word
+	// header, the label flag, and the three dense sections (a 3-word
+	// header each); its row pointers follow its own 4-word header.
+	adjOff := 8*(10+1+3*3) + 8*(len(b.Xf.Data)+len(b.Xb.Data)+len(b.Y.Data))
+	if got := order.Uint64(raw[adjOff:]); got != magicCSR {
+		t.Fatalf("adjacency section not at offset %d (word %#x)", adjOff, got)
+	}
+	bad = append([]byte(nil), raw...)
+	order.PutUint64(bad[adjOff+8*(4+1):], uint64(b.Adj.NNZ()+1))
+	if _, err := ReadBundle(bytes.NewReader(bad)); err == nil {
+		t.Fatal("corrupt adjacency row pointer accepted")
 	}
 	// Invalid config (K = 0) must be rejected by validation.
 	bad = append([]byte(nil), raw...)

@@ -14,6 +14,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"pane/internal/mat"
 	"pane/internal/sparse"
@@ -78,26 +79,27 @@ func readCSR(r io.Reader) (*sparse.CSR, error) {
 	if rows > limit || cols > limit || nnz > limit {
 		return nil, fmt.Errorf("store: implausible CSR dimensions %dx%d nnz=%d", rows, cols, nnz)
 	}
-	m := &sparse.CSR{
-		R: int(rows), C: int(cols),
-		RowPtr: make([]int, rows+1),
-		Cols:   make([]int32, nnz),
-		Vals:   make([]float64, nnz),
-	}
-	ptr := make([]uint64, rows+1)
-	if err := binary.Read(r, order, ptr); err != nil {
+	ptr, err := readSlice[uint64](r, int(rows)+1)
+	if err != nil {
 		return nil, fmt.Errorf("store: reading row pointers: %w", err)
 	}
+	// Every row's [RowPtr[i], RowPtr[i+1]) must be a valid, possibly
+	// empty, range of the entry arrays: start at 0, never decrease, and
+	// end exactly at nnz. Anything else makes the first row walk panic.
+	if ptr[0] != 0 || ptr[rows] != nnz {
+		return nil, fmt.Errorf("store: row pointers span [%d,%d), want [0,%d)", ptr[0], ptr[rows], nnz)
+	}
+	m := &sparse.CSR{R: int(rows), C: int(cols), RowPtr: make([]int, rows+1)}
 	for i, v := range ptr {
+		if i > 0 && v < ptr[i-1] {
+			return nil, fmt.Errorf("store: row pointer %d decreases (%d after %d)", i, v, ptr[i-1])
+		}
 		m.RowPtr[i] = int(v)
 	}
-	if m.RowPtr[rows] != int(nnz) {
-		return nil, fmt.Errorf("store: row pointer tail %d != nnz %d", m.RowPtr[rows], nnz)
-	}
-	if err := binary.Read(r, order, m.Cols); err != nil {
+	if m.Cols, err = readSlice[int32](r, int(nnz)); err != nil {
 		return nil, fmt.Errorf("store: reading columns: %w", err)
 	}
-	if err := binary.Read(r, order, m.Vals); err != nil {
+	if m.Vals, err = readSlice[float64](r, int(nnz)); err != nil {
 		return nil, fmt.Errorf("store: reading values: %w", err)
 	}
 	for i, c := range m.Cols {
@@ -144,11 +146,33 @@ func readDense(r io.Reader) (*mat.Dense, error) {
 	if rows > math.MaxInt32 || cols > math.MaxInt32 || rows*cols > 1<<33 {
 		return nil, fmt.Errorf("store: implausible dense dimensions %dx%d", rows, cols)
 	}
-	m := mat.New(int(rows), int(cols))
-	if err := binary.Read(r, order, m.Data); err != nil {
+	data, err := readSlice[float64](r, int(rows*cols))
+	if err != nil {
 		return nil, fmt.Errorf("store: reading dense data: %w", err)
 	}
-	return m, nil
+	return &mat.Dense{Rows: int(rows), Cols: int(cols), Data: data}, nil
+}
+
+// readStep bounds how many elements readSlice allocates ahead of the
+// bytes that have actually arrived.
+const readStep = 1 << 17
+
+// readSlice reads n little-endian elements from r. Every section's
+// element count comes from an untrusted length word (a corrupt file, a
+// truncated or hostile /bundle stream), so the slice grows at most
+// readStep elements ahead of the data really read: a header claiming
+// 2^33 entries on a short stream costs one step, not tens of gigabytes.
+func readSlice[T int8 | uint16 | int32 | int64 | uint64 | float32 | float64](r io.Reader, n int) ([]T, error) {
+	out := make([]T, 0, min(n, readStep))
+	for len(out) < n {
+		lo := len(out)
+		hi := lo + min(n-lo, readStep)
+		out = slices.Grow(out, hi-lo)[:hi]
+		if err := binary.Read(r, order, out[lo:hi]); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // SaveDenseFile writes m to path atomically (temp file + rename).

@@ -164,3 +164,32 @@ func TestCSRColumnRangeValidation(t *testing.T) {
 		t.Fatal("corrupt column index accepted")
 	}
 }
+
+// TestCSRRowPointerValidation: row pointers must start at 0, never
+// decrease, and end at nnz — otherwise the first row walk slices out of
+// range. Each case rewrites the pointers of a valid 2x2, nnz=2 section.
+func TestCSRRowPointerValidation(t *testing.T) {
+	m := sparse.NewCSR(2, 2, []sparse.Entry{{Row: 0, Col: 0, Val: 1}, {Row: 1, Col: 1, Val: 2}})
+	var buf bytes.Buffer
+	if err := WriteCSR(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	for _, ptr := range [][3]uint64{
+		{0, 5, 2}, // past nnz, then back down
+		{1, 1, 2}, // does not start at 0
+		{0, 2, 1}, // decreasing, tail short of nnz
+		{0, 3, 3}, // tail past nnz
+	} {
+		raw := append([]byte(nil), buf.Bytes()...)
+		for i, v := range ptr {
+			order.PutUint64(raw[32+8*i:], v) // after the 4-word header
+		}
+		if got, err := ReadCSR(bytes.NewReader(raw)); err == nil {
+			t.Fatalf("row pointers %v accepted: %+v", ptr, got.RowPtr)
+		}
+	}
+	// The valid pointers still read.
+	if _, err := ReadCSR(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+}
